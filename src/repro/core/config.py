@@ -9,6 +9,7 @@ configuration of the paper's test machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.errors import ConfigError
@@ -16,6 +17,7 @@ from repro.core.errors import ConfigError
 __all__ = [
     "SZOpsConfig",
     "ErrorBoundMode",
+    "check_eps",
     "resolve_error_bound",
     "VALID_BACKENDS",
     "VALID_BITPACK_KERNELS",
@@ -45,6 +47,17 @@ ErrorBoundMode = str
 _VALID_MODES = ("abs", "rel")
 
 
+def check_eps(eps: float) -> None:
+    """Reject an error bound that is not a positive finite number.
+
+    NaN slips ``eps <= 0`` and ±inf quantizes every value to bin 0 or to a
+    non-finite representative, so both are refused here with the same
+    predicate the stream header check applies.
+    """
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ConfigError(f"error bound must be positive and finite, got {eps}")
+
+
 def resolve_error_bound(
     error_bound: float, mode: ErrorBoundMode, value_range: float
 ) -> float:
@@ -56,13 +69,17 @@ def resolve_error_bound(
     the absolute bound equal to the relative bound itself so the pipeline
     stays well-defined.
     """
-    if error_bound <= 0:
-        raise ConfigError(f"error bound must be positive, got {error_bound}")
+    check_eps(error_bound)
     if mode == "abs":
         return float(error_bound)
     if mode == "rel":
         if value_range < 0:
             raise ConfigError("value range must be non-negative")
+        if not math.isfinite(value_range):
+            raise ConfigError(
+                f"value range {value_range} is not finite; a relative bound "
+                "needs finite data"
+            )
         if value_range == 0:
             return float(error_bound)
         return float(error_bound) * float(value_range)

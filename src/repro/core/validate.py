@@ -13,6 +13,7 @@ from repro.core.errors import ErrorBoundViolation
 from repro.core.format import SZOpsCompressed
 
 __all__ = [
+    "bound_slack",
     "check_error_bound",
     "check_roundtrip",
     "max_abs_error",
@@ -62,12 +63,14 @@ def check_error_bound(
     return err
 
 
-def _float_cast_slack(data: np.ndarray, eps: float) -> float:
+def bound_slack(data: np.ndarray, eps: float) -> float:
     """Slack for floating-point representation of the reconstruction.
 
     Two effects: the float64 representative ``2*eps*q`` is rounded (half an
     ulp of the value), and float32 containers additionally cast it down
-    (one float32 ulp).  See the note in :mod:`repro.core.quantize`.
+    (one float32 ulp).  See the note in :mod:`repro.core.quantize`.  Every
+    bound check (``check_roundtrip``, the benchmark harness, the test
+    suite) admits ``eps + bound_slack(data, eps)``.
     """
     arr = np.asarray(data)
     if arr.size == 0:
@@ -88,5 +91,5 @@ def check_roundtrip(codec, data: np.ndarray, error_bound: float, mode: str = "ab
     c = codec.compress(data, error_bound, mode=mode)
     reconstructed = codec.decompress(c)
     eps = c.eps if isinstance(c, SZOpsCompressed) else getattr(c, "eps", error_bound)
-    check_error_bound(data, reconstructed, eps, slack=_float_cast_slack(data, eps))
+    check_error_bound(data, reconstructed, eps, slack=bound_slack(data, eps))
     return c, reconstructed

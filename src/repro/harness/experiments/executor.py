@@ -206,6 +206,7 @@ def _run_pipeline_cell(
     from repro.core.compressor import SZOps
     from repro.core.format import SZOpsCompressed
     from repro.core.ops.dispatch import apply_chain
+    from repro.core.validate import bound_slack
     from repro.parallel.backends import get_backend
     from repro.runtime.reduce import parallel_mean, parallel_variance
 
@@ -267,14 +268,9 @@ def _run_pipeline_cell(
 
         stream_bytes = stream.to_bytes()
         same_stream = stream_bytes == ref_stream
-        # Error-bound check with representation slack (half-ulp at the
-        # value scale, plus a float32 cast ulp) — the same slack model the
-        # test suite and run_parallel_backends use.
-        scale_v = float(np.abs(arr).max()) + eps
-        slack = float(np.spacing(scale_v))
-        if arr.dtype == np.float32:
-            slack += float(np.spacing(np.float32(scale_v)))
-        roundtrip_ok = bool(float(np.abs(out - arr).max()) <= eps + slack)
+        roundtrip_ok = bool(
+            float(np.abs(out - arr).max()) <= eps + bound_slack(arr, eps)
+        )
     finally:
         codec.close()
 

@@ -22,6 +22,7 @@ from repro.baselines import make_codec
 from repro.core.compressor import SZOps
 from repro.core.format import SZOpsCompressed
 from repro.core.ops.dispatch import OPERATIONS, operation_names
+from repro.core.validate import bound_slack
 from repro.datasets import generate_fields, get_dataset
 from repro.harness.config import BenchConfig
 from repro.metrics import Timer, mb_per_s, gb_per_s, mean_ratio
@@ -620,16 +621,9 @@ def run_parallel_backends(
                         out = codec.decompress(stream)
                     best_d = min(best_d, t.seconds)
                 same_stream = stream.to_bytes() == ref_stream
-                # Error-bound check with representation slack: half-ulp
-                # rounding at the value scale, plus a float32 cast ulp
-                # when the container stores float32 (same slack model as
-                # the test suite's assert_within_bound fixture).
-                scale_v = float(np.abs(arr).max()) + cfg.eps
-                slack = float(np.spacing(scale_v))
-                if arr.dtype == np.float32:
-                    slack += float(np.spacing(np.float32(scale_v)))
                 same_roundtrip = bool(
-                    float(np.abs(out - arr).max()) <= cfg.eps + slack
+                    float(np.abs(out - arr).max())
+                    <= cfg.eps + bound_slack(arr, cfg.eps)
                 )
             finally:
                 codec.close()

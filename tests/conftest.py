@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro import SZOps
+from repro.core.validate import bound_slack
 
 # Hypothesis budget profiles.  CI runs the bounded "ci" profile (see
 # .github/workflows/ci.yml); "thorough" is for local deep sweeps.
@@ -66,13 +67,7 @@ def assert_within_bound():
     """Callable asserting |a - b| <= eps (+ float32 cast slack)."""
 
     def check(original, reconstructed, eps):
-        original = np.asarray(original)
-        # float64 representative rounding (half an ulp of the value) plus
-        # a float32 cast ulp when the container dtype is float32.
-        scale = float(np.max(np.abs(original))) + eps if original.size else eps
-        slack = float(np.spacing(scale))
-        if original.dtype == np.float32 and original.size:
-            slack += float(np.spacing(np.float32(scale)))
+        slack = bound_slack(original, eps)
         err = max_err(original, reconstructed)
         assert err <= eps + slack, f"max error {err} > eps {eps} (+slack {slack})"
         return err
