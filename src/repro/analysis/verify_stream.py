@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.analysis.findings import Finding, Severity
 from repro.core.blocks import BlockLayout
+from repro.core.config import valid_eps
 from repro.core.errors import FormatError
 
 __all__ = [
@@ -296,7 +297,7 @@ def verify_szops_bytes(data: bytes, path: str = "<bytes>") -> list[Finding]:
             return findings
         at = c.pos
         eps = c.f64("eps")
-        if not (eps > 0 and np.isfinite(eps)):
+        if not valid_eps(eps):
             findings.append(
                 _finding("VS004", path, at, f"invalid error bound {eps} in header")
             )
@@ -456,7 +457,7 @@ def verify_szp_payload(
         word_align = bool(flags & 4)
         at = c.pos
         eps = c.f64("eps")
-        if not (eps > 0 and np.isfinite(eps)):
+        if not valid_eps(eps):
             findings.append(
                 _finding("VS004", path, at, f"invalid error bound {eps} in header")
             )

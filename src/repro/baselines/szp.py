@@ -30,10 +30,9 @@ from repro.baselines.base import BaseCompressor
 from repro.bitstream import ByteReader, ByteWriter
 from repro.core.blocks import BlockLayout
 from repro.core.encode import (
-    apply_signs,
     block_widths,
-    decode_magnitudes,
-    decode_signs,
+    decode_block_sections,
+    decode_stored_deltas,
     encode_magnitudes,
     encode_signs,
 )
@@ -163,26 +162,17 @@ class SZp(BaseCompressor):
         payload_bytes = np.frombuffer(r.read_bytes(n_payload), dtype=np.uint8)
         r.expect_end()
 
-        stored = widths > 0
+        align_bits = 32 if word_align else 1
         if full_signs:
-            signs = decode_signs(sign_bytes, n_elements)
-            mags = decode_magnitudes(
-                payload_bytes, widths, lens, align_bits=32 if word_align else 1
+            # Every block owns a sign row: decode them all, constant or not.
+            deltas = decode_stored_deltas(
+                sign_bytes, payload_bytes, widths, lens, align_bits=align_bits
             )
-            deltas = apply_signs(signs, mags)
         else:
-            stored_lens = lens[stored]
-            n_stored = int(stored_lens.sum())
-            signs = decode_signs(sign_bytes, n_stored)
-            mags = decode_magnitudes(
-                payload_bytes,
-                widths[stored],
-                stored_lens,
-                align_bits=32 if word_align else 1,
+            deltas = decode_block_sections(
+                sign_bytes, payload_bytes, widths, lens, align_bits=align_bits
             )
-            deltas = np.zeros(n_elements, dtype=np.int64)
-            deltas[np.repeat(stored, lens)] = apply_signs(signs, mags)
-        q = lorenzo_inverse(np.asarray(deltas, dtype=np.int64), outliers, layout)
+        q = lorenzo_inverse(deltas, outliers, layout, out=deltas)
         if abs(stream_eps - eps) > 1e-300 and not np.isclose(stream_eps, eps):
             raise FormatError("stream error bound disagrees with blob metadata")
         return dequantize(q, stream_eps, np.float64)

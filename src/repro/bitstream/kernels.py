@@ -39,6 +39,9 @@ over strided 8-byte windows.
 one gather plus ``m`` shift-mask extractions; the remaining widths ≤ 57 use
 per-phase strided window gathers.  Widths 58–63 that are not byte-multiples
 cannot use a 64-bit shift window and fall back to the reference path.
+Every unpack path emits :func:`narrow_dtype` values
+(:meth:`BitpackKernel.unpack_uints_narrow`); :meth:`~BitpackKernel.unpack_uints`
+widens them to ``uint64`` once, at its public boundary.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from typing import Any, Callable
 
 import numpy as np
 import numpy.typing as npt
-from numpy.lib.stride_tricks import as_strided
 
 from repro.bitstream import bitpack
 
@@ -63,6 +65,7 @@ __all__ = [
     "available_kernels",
     "resolve_kernel",
     "numba_available",
+    "narrow_dtype",
     "AUTO_KERNEL",
     "SMALL_INPUT_CUTOFF",
 ]
@@ -79,6 +82,18 @@ SMALL_INPUT_CUTOFF = 32
 _U64 = np.uint64
 # Lane order of the uint32 halves of a uint64 view depends on host endianness.
 _NP_LITTLE = bool(np.little_endian)
+
+
+#: ``narrow_dtype`` by width; the decode loop asks several times per group.
+_NARROW = tuple(
+    np.dtype(f"u{1 if w <= 8 else 2 if w <= 16 else 4 if w <= 32 else 8}")
+    for w in range(66)
+)
+
+
+def narrow_dtype(width: int) -> np.dtype[Any]:
+    """Narrowest unsigned dtype holding ``width`` bits (cuts write traffic)."""
+    return _NARROW[min(width, 65)]
 
 
 def _as_byte_array(buf: BufLike) -> npt.NDArray[np.uint8]:
@@ -109,6 +124,18 @@ class BitpackKernel(ABC):
         self, buf: BufLike, count: int, width: int, bit_offset: int = 0
     ) -> npt.NDArray[np.uint64]:
         """Unpack ``count`` fixed-width unsigned integers from a byte buffer."""
+
+    def unpack_uints_narrow(
+        self, buf: BufLike, count: int, width: int, bit_offset: int = 0
+    ) -> npt.NDArray[np.unsignedinteger[Any]]:
+        """:meth:`unpack_uints` in ``narrow_dtype(width)``.
+
+        Returns a fresh, writable, native-endian array, so callers may
+        transform it in place.  Default: unpack, then narrow.
+        """
+        return self.unpack_uints(buf, count, width, bit_offset).astype(
+            narrow_dtype(width), copy=False
+        )
 
     def bits_of(
         self, values: npt.ArrayLike, width: int
@@ -219,12 +246,23 @@ class WordpackKernel(BitpackKernel):
     def unpack_uints(
         self, buf: BufLike, count: int, width: int, bit_offset: int = 0
     ) -> npt.NDArray[np.uint64]:
+        # The one widening step; every path below decodes narrow.
+        return self.unpack_uints_narrow(buf, count, width, bit_offset).astype(
+            np.uint64, copy=False
+        )
+
+    def unpack_uints_narrow(
+        self, buf: BufLike, count: int, width: int, bit_offset: int = 0
+    ) -> npt.NDArray[np.unsignedinteger[Any]]:
         if width < 0 or width > 64:
             raise ValueError(f"width must be in [0, 64], got {width}")
+        cdt = narrow_dtype(width)
         if width == 0 or count == 0:
-            return np.zeros(count, dtype=np.uint64)
+            return np.zeros(count, dtype=cdt)
         if bit_offset % 8:  # sub-byte stream offsets stay on the bit path
-            return bitpack.unpack_uints(buf, count, width, bit_offset)
+            return bitpack.unpack_uints(buf, count, width, bit_offset).astype(
+                cdt, copy=False
+            )
         raw = _as_byte_array(buf)[bit_offset // 8 :]
         nbytes = (count * width + 7) // 8
         if raw.size < nbytes:
@@ -233,7 +271,7 @@ class WordpackKernel(BitpackKernel):
                 f"of {raw.size} bytes"
             )
         if width == 1:
-            return np.unpackbits(raw[:nbytes])[:count].astype(np.uint64)
+            return np.unpackbits(raw[:nbytes])[:count]
         if width % 8 == 0:
             return _unpack_bytemult(raw, count, width, nbytes)
         if width > 57:
@@ -323,28 +361,18 @@ def _phase_scatter(
 
 def _unpack_bytemult(
     raw: npt.NDArray[np.uint8], count: int, width: int, nbytes: int
-) -> npt.NDArray[np.uint64]:
+) -> npt.NDArray[np.unsignedinteger[Any]]:
     k = width // 8
+    cdt = narrow_dtype(width)
     if k in (1, 2, 4, 8):
-        dt = {1: np.dtype(np.uint8), 2: np.dtype(">u2"), 4: np.dtype(">u4"), 8: np.dtype(">u8")}[k]
-        return raw[:nbytes].view(dt).astype(np.uint64)
+        # astype copies (and byte-swaps), so the result never aliases buf.
+        return raw[:nbytes].view(f">u{k}").astype(cdt)
     # k in {3, 5, 6, 7}: strided byte-column folds, one pass per byte.
-    out = np.zeros(count, dtype=np.uint64)
+    out = np.zeros(count, dtype=cdt)
     src = raw[:nbytes]
     for i in range(k):
-        out |= src[i::k].astype(np.uint64) << _U64(8 * (k - 1 - i))
+        out |= src[i::k].astype(cdt) << cdt.type(8 * (k - 1 - i))
     return out
-
-
-def _col_dtype(width: int) -> np.dtype:
-    """Narrowest unsigned dtype holding ``width`` bits (cuts write traffic)."""
-    if width <= 8:
-        return np.dtype(np.uint8)
-    if width <= 16:
-        return np.dtype(np.uint16)
-    if width <= 32:
-        return np.dtype(np.uint32)
-    return np.dtype(np.uint64)
 
 
 def _unpack_cycle_lane(
@@ -354,20 +382,35 @@ def _unpack_cycle_lane(
     m: int,
     cycle_bytes: int,
     nbytes: int,
-) -> npt.NDArray[np.uint64]:
-    """Whole packing cycle fits one uint64 lane: 1 gather, m shift-masks."""
+) -> npt.NDArray[np.unsignedinteger[Any]]:
+    """Whole packing cycle fits one lane: 1 gather, m shift-masks.
+
+    The lane is the narrowest of 1/2/4/8 bytes holding a cycle, so a
+    one-byte cycle (widths 2 and 4) never widens past uint8.
+    """
     ncyc = -(-count // m)
-    src = np.zeros((ncyc, 8), dtype=np.uint8)
-    pad = np.zeros(ncyc * cycle_bytes, dtype=np.uint8)
-    pad[:nbytes] = raw[:nbytes]
-    src[:, :cycle_bytes] = pad.reshape(ncyc, cycle_bytes)
-    acc = src.reshape(-1).view(np.uint64).byteswap()
-    mask = _U64((1 << width) - 1)
-    cdt = _col_dtype(width)
-    out = np.empty((ncyc, m), dtype=cdt)
+    lane = narrow_dtype(8 * cycle_bytes)
+    L = lane.itemsize
+    if nbytes == ncyc * cycle_bytes:
+        cycles = raw[:nbytes].reshape(ncyc, cycle_bytes)
+    else:
+        pad = np.zeros(ncyc * cycle_bytes, dtype=np.uint8)
+        pad[:nbytes] = raw[:nbytes]
+        cycles = pad.reshape(ncyc, cycle_bytes)
+    if L == cycle_bytes:
+        src = cycles
+    else:
+        src = np.zeros((ncyc, L), dtype=np.uint8)
+        src[:, :cycle_bytes] = cycles
+    acc = np.ascontiguousarray(src).reshape(-1).view(f">u{L}").astype(lane)
+    mask = lane.type((1 << width) - 1)
+    out = np.empty((ncyc, m), dtype=narrow_dtype(width))
+    field = np.empty(ncyc, dtype=lane)
     for j in range(m):
-        out[:, j] = ((acc >> _U64(64 - width - j * width)) & mask).astype(cdt)
-    return out.reshape(-1)[:count].astype(np.uint64)
+        np.right_shift(acc, lane.type(8 * L - width - j * width), out=field)
+        # The masked field fits the narrow column: store it there directly.
+        np.bitwise_and(field, mask, out=out[:, j], casting="unsafe")
+    return out.reshape(-1)[:count]
 
 
 def _unpack_phase_gather(
@@ -377,24 +420,33 @@ def _unpack_phase_gather(
     m: int,
     cycle_bytes: int,
     nbytes: int,
-) -> npt.NDArray[np.uint64]:
-    """Per-phase strided 8-byte window gathers (width <= 57, cycle >= 8 bytes)."""
+) -> npt.NDArray[np.unsignedinteger[Any]]:
+    """Per-phase strided window gathers (width <= 57, cycle >= 8 bytes).
+
+    A field starts at bit ``s <= 7`` of its window, so 4-byte windows hold
+    widths up to 25 and 8-byte windows the rest.
+    """
     ncyc = -(-count // m)
     src = np.zeros(ncyc * cycle_bytes + cycle_bytes + 16, dtype=np.uint8)
     src[:nbytes] = raw[:nbytes]
-    mask = _U64((1 << width) - 1)
-    cdt = _col_dtype(width)
-    out = np.empty((ncyc, m), dtype=cdt)
+    lane = np.dtype(np.uint32) if width <= 25 else np.dtype(np.uint64)
+    L = lane.itemsize
+    mask = lane.type((1 << width) - 1)
+    # Cycle c's bytes, plus the window overhang of its last phase; the rows
+    # overlap, which is safe because they are only read.
+    cycles = np.ndarray(
+        (ncyc, 2 * cycle_bytes), dtype=np.uint8, buffer=src,
+        strides=(cycle_bytes, 1),
+    )
+    out = np.empty((ncyc, m), dtype=narrow_dtype(width))
     for j in range(m):
         pos = j * width
         b0, s = pos >> 3, pos & 7
-        # Overlapping reads are safe; as_strided + copy is the gather.
-        win = np.ascontiguousarray(
-            as_strided(src[b0:], shape=(ncyc, 8), strides=(cycle_bytes, 1))
-        )
-        acc = win.reshape(-1).view(np.uint64).byteswap()
-        out[:, j] = ((acc >> _U64(64 - s - width)) & mask).astype(cdt)
-    return out.reshape(-1)[:count].astype(np.uint64)
+        win = np.ascontiguousarray(cycles[:, b0 : b0 + L])
+        acc = win.reshape(-1).view(f">u{L}").astype(lane)
+        np.right_shift(acc, lane.type(8 * L - s - width), out=acc)
+        np.bitwise_and(acc, mask, out=out[:, j], casting="unsafe")
+    return out.reshape(-1)[:count]
 
 
 # --------------------------------------------------------------------------

@@ -328,7 +328,7 @@ class SZOps:
         """Partial decompression: recover the quantized integers (no QZ^-1)."""
         c.validate_structure()
         deltas = self.decode_deltas(c)
-        return lorenzo_inverse(deltas, c.outliers, c.layout)
+        return lorenzo_inverse(deltas, c.outliers, c.layout, out=deltas)
 
     def decompress(self, c: SZOpsCompressed) -> np.ndarray:
         """Full decompression back to a floating-point array of ``c.shape``."""

@@ -18,6 +18,7 @@ __all__ = [
     "SZOpsConfig",
     "ErrorBoundMode",
     "check_eps",
+    "valid_eps",
     "resolve_error_bound",
     "VALID_BACKENDS",
     "VALID_BITPACK_KERNELS",
@@ -47,15 +48,24 @@ ErrorBoundMode = str
 _VALID_MODES = ("abs", "rel")
 
 
-def check_eps(eps: float) -> None:
-    """Reject an error bound that is not a positive finite number.
+def valid_eps(eps: float) -> bool:
+    """True for a positive error bound whose bin width ``2 * eps`` is finite.
 
-    NaN slips ``eps <= 0`` and ±inf quantizes every value to bin 0 or to a
-    non-finite representative, so both are refused here with the same
-    predicate the stream header check applies.
+    This is also the stream-header predicate (``SZOpsCompressed.from_bytes``
+    and ``verify-stream``).  NaN slips ``eps <= 0``; ±inf, and any bound
+    above ``float_max / 2``, overflows the bin width ``2 * eps`` to inf, so
+    every representative ``2 * eps * q`` would decompress to NaN or inf.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ConfigError(f"error bound must be positive and finite, got {eps}")
+    return bool(eps > 0 and math.isfinite(2.0 * float(eps)))
+
+
+def check_eps(eps: float) -> None:
+    """Raise :class:`ConfigError` unless :func:`valid_eps` accepts ``eps``."""
+    if not valid_eps(eps):
+        raise ConfigError(
+            f"error bound must be positive and finite with a finite bin "
+            f"width 2*eps, got {eps}"
+        )
 
 
 def resolve_error_bound(

@@ -32,6 +32,8 @@ compression-efficiency limitation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.bitstream import (
@@ -39,6 +41,7 @@ from repro.bitstream import (
     BitpackKernel,
     bit_width,
     exclusive_cumsum,
+    narrow_dtype,
     pack_bits,
     ragged_arange,
     resolve_kernel,
@@ -50,7 +53,6 @@ __all__ = [
     "payload_bit_counts",
     "encode_signs",
     "decode_signs",
-    "apply_signs",
     "encode_magnitudes",
     "decode_magnitudes",
     "encode_block_sections",
@@ -104,17 +106,6 @@ def decode_signs(sign_bytes: np.ndarray, n_bits: int) -> np.ndarray:
     return unpack_bits(sign_bytes, n_bits)
 
 
-def apply_signs(signs: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """Signed int64 deltas from sign bits and uint64 magnitudes.
-
-    Negation stays in uint64, where wraparound is defined modular
-    arithmetic, and the result is bit-reinterpreted: a magnitude of
-    exactly ``2**63`` round-trips to INT64_MIN instead of hitting
-    signed-negation overflow.
-    """
-    return np.where(signs.astype(bool), -mags, mags).view(np.int64)
-
-
 # --------------------------------------------------------------------------
 # group-sorted byte fast path
 # --------------------------------------------------------------------------
@@ -153,8 +144,12 @@ def _group_element_index(
 
 
 def _row_byte_index(byte_starts: np.ndarray, row_bytes: int) -> np.ndarray:
-    """Byte indices of per-block payload rows; int32 keeps the scatter cheap."""
-    if byte_starts.size and int(byte_starts.max()) + row_bytes < 2**31:
+    """Byte indices of per-block payload rows; int32 keeps the scatter cheap.
+
+    ``byte_starts`` increase (a group's blocks in stream order), so the
+    last one bounds the index.
+    """
+    if byte_starts.size and int(byte_starts[-1]) + row_bytes < 2**31:
         return (
             byte_starts.astype(np.int32)[:, None]
             + np.arange(row_bytes, dtype=np.int32)[None, :]
@@ -186,6 +181,44 @@ def _byte_path_ok(block_bits: np.ndarray) -> bool:
     if block_bits.size <= 1:
         return True
     return bool((block_bits[:-1] % 8 == 0).all())
+
+
+class _BlockRows:
+    """Whole-block rows of a flat array laid out as consecutive blocks.
+
+    A (width, length) group moves as rows of a reshaped view over the
+    leading run of equal-length blocks (every block of a block layout but
+    a ragged tail); any other block goes through a broadcast element index.
+    Block selections are increasing, as :func:`_grouped_blocks` emits them.
+    """
+
+    def __init__(self, flat: np.ndarray, lens: np.ndarray) -> None:
+        self.flat, self.lens = flat, lens
+        self.blen = int(lens[0]) if lens.size else 0
+        same = lens == self.blen
+        self.n_rows = lens.size if bool(same.all()) else int(np.argmin(same))
+        self.rows = flat[: self.n_rows * self.blen].reshape(self.n_rows, self.blen)
+        self._starts: np.ndarray | None = None
+
+    def _elements(self, bsel: np.ndarray, blen: int) -> np.ndarray | None:
+        if blen == self.blen and int(bsel[-1]) < self.n_rows:
+            return None
+        if self._starts is None:
+            self._starts = exclusive_cumsum(self.lens)
+        return _group_element_index(self._starts, bsel, blen)
+
+    def take(self, bsel: np.ndarray, blen: int) -> np.ndarray:
+        idx = self._elements(bsel, blen)
+        if idx is None:
+            return self.rows[bsel]
+        return self.flat[idx].reshape(bsel.size, blen)
+
+    def put(self, bsel: np.ndarray, blen: int, vals: np.ndarray | int) -> None:
+        idx = self._elements(bsel, blen)
+        if idx is None:
+            self.rows[bsel] = vals
+        else:
+            self.flat[idx] = np.reshape(vals, -1)
 
 
 def encode_magnitudes(
@@ -229,10 +262,7 @@ def encode_magnitudes(
     out_words = np.zeros((total_bytes + 7) // 8, dtype=np.uint64)
     out = out_words.view(np.uint8)[:total_bytes]
     order, bounds = _grouped_blocks(widths64, lens64)
-    mags_arr = _as_unsigned_magnitudes(mags)
-    uniform = int(lens64.min()) == int(lens64.max())
-    mags_rows = mags_arr.reshape(lens64.size, -1) if uniform else None
-    elem_starts = None if uniform else exclusive_cumsum(lens64)
+    mags_rows = _BlockRows(_as_unsigned_magnitudes(mags), lens64)
     for g in range(bounds.size - 1):
         g0, g1 = int(bounds[g]), int(bounds[g + 1])
         bsel = order[g0:g1]
@@ -243,12 +273,8 @@ def encode_magnitudes(
         if w == 0 or n_e == 0:
             continue
         # Whole rows: blocks of one group share (width, length), so the
-        # group's elements gather as rows — a reshaped row take when every
-        # block has the same length, a broadcast index otherwise.
-        if mags_rows is not None:
-            vals = mags_rows[bsel].reshape(-1)
-        else:
-            vals = mags_arr[_group_element_index(elem_starts, bsel, blen)]
+        # group's elements gather as rows.
+        vals = mags_rows.take(bsel, blen).reshape(-1)
         row_bits = blen * w
         row_bytes = (row_bits + 7) // 8
         if row_bits % 8 == 0 or nblk == 1:
@@ -274,6 +300,81 @@ def encode_magnitudes(
     return out, total_bits
 
 
+def _decode_groups(
+    payload_bytes: np.ndarray,
+    widths: np.ndarray,
+    lens: np.ndarray,
+    align_bits: int,
+    kern: BitpackKernel,
+) -> Iterator[tuple[np.ndarray, int, int, np.ndarray | None]]:
+    """The decode direction's one group loop.
+
+    Yields ``(bsel, blen, width, values)`` for every non-empty
+    (width, length) group: ``bsel`` are the group's block indices in
+    increasing order, ``values`` its magnitudes as an ``(len(bsel), blen)``
+    array — fresh, in ``narrow_dtype(width)`` on the byte path (uint64 on
+    the bit-granular paths) — or ``None`` for a zero-width group.
+    """
+    block_bits = payload_bit_counts(widths, lens, align_bits)
+    total_bits = int(block_bits.sum())
+    buf = (
+        np.frombuffer(payload_bytes, dtype=np.uint8)
+        if isinstance(payload_bytes, (bytes, bytearray, memoryview))
+        else np.asarray(payload_bytes, dtype=np.uint8)
+    )
+    if buf.size < (total_bits + 7) // 8:
+        raise ValueError(
+            f"payload of {buf.size} bytes shorter than the width plane "
+            f"implies ({(total_bits + 7) // 8} bytes)"
+        )
+    if widths.size == 0:
+        return
+    offsets = exclusive_cumsum(block_bits)
+    # Arbitrary geometries (a block payload not starting on a byte) gather
+    # each group's rows from the expanded bit stream instead of bytes.
+    bits = None if _byte_path_ok(block_bits) else unpack_bits(buf, total_bits)
+    # Whole-word row gather mirror of the encode-side scatter; only usable
+    # when the buffer splits into uint64 lanes exactly.
+    buf_words = (
+        buf.view(np.uint64)
+        if buf.size % 8 == 0 and buf.flags.c_contiguous
+        else None
+    )
+    order, bounds = _grouped_blocks(widths, lens)
+    for g in range(bounds.size - 1):
+        g0, g1 = int(bounds[g]), int(bounds[g + 1])
+        bsel = order[g0:g1]
+        w = int(widths[bsel[0]])
+        blen = int(lens[bsel[0]])
+        nblk = g1 - g0
+        n_e = nblk * blen
+        if n_e == 0:
+            continue
+        if w == 0:
+            yield bsel, blen, w, None
+            continue
+        row_bits = blen * w
+        if bits is not None:
+            idx = offsets[bsel][:, None] + np.arange(row_bits, dtype=np.int64)[None, :]
+            vals = kern.uints_from_bits(bits[idx.reshape(-1)], w)
+            yield bsel, blen, w, vals.reshape(nblk, blen)
+            continue
+        row_bytes = (row_bits + 7) // 8
+        off_bytes = offsets[bsel] >> 3
+        if buf_words is not None and row_bytes % 8 == 0 and not (off_bytes & 7).any():
+            rows = buf_words[_row_byte_index(off_bytes >> 3, row_bytes >> 3)].view(
+                np.uint8
+            )
+        else:
+            rows = buf[_row_byte_index(off_bytes, row_bytes)]
+        if row_bits % 8 == 0 or nblk == 1:
+            vals = kern.unpack_uints_narrow(rows, n_e, w)
+        else:
+            bit_rows = np.unpackbits(rows).reshape(nblk, row_bytes * 8)[:, :row_bits]
+            vals = kern.uints_from_bits(np.ascontiguousarray(bit_rows).reshape(-1), w)
+        yield bsel, blen, w, vals.reshape(nblk, blen)
+
+
 def decode_magnitudes(
     payload_bytes: np.ndarray,
     widths: np.ndarray,
@@ -288,66 +389,60 @@ def decode_magnitudes(
     """
     widths64 = np.asarray(widths, dtype=np.int64)
     lens64 = np.asarray(lens, dtype=np.int64)
-    block_bits = payload_bit_counts(widths64, lens64, align_bits)
-    n_elems = int(lens64.sum())
-    out = np.zeros(n_elems, dtype=np.uint64)
-    total_bits = int(block_bits.sum())
-    if total_bits == 0:
-        return out
-    kern = resolve_kernel(kernel, size=n_elems)
-    if not _byte_path_ok(block_bits):
-        return _decode_magnitudes_bits(payload_bytes, widths64, lens64, block_bits, kern)
+    out = np.empty(int(lens64.sum()), dtype=np.uint64)
+    rows = _BlockRows(out, lens64)
+    kern = resolve_kernel(kernel, size=out.size)
+    for bsel, blen, _w, vals in _decode_groups(
+        payload_bytes, widths64, lens64, align_bits, kern
+    ):
+        rows.put(bsel, blen, 0 if vals is None else vals)
+    return out
 
-    buf = (
-        np.frombuffer(payload_bytes, dtype=np.uint8)
-        if isinstance(payload_bytes, (bytes, bytearray, memoryview))
-        else np.asarray(payload_bytes, dtype=np.uint8)
-    )
-    if buf.size < (total_bits + 7) // 8:
-        raise ValueError(
-            f"payload of {buf.size} bytes shorter than the width plane "
-            f"implies ({(total_bits + 7) // 8} bytes)"
-        )
-    offsets = exclusive_cumsum(block_bits)
-    # Whole-word row gather mirror of the encode-side scatter; only usable
-    # when the buffer splits into uint64 lanes exactly.
-    buf_words = (
-        buf.view(np.uint64)
-        if buf.size % 8 == 0 and buf.flags.c_contiguous
-        else None
-    )
-    order, bounds = _grouped_blocks(widths64, lens64)
-    uniform = int(lens64.min()) == int(lens64.max())
-    out_rows = out.reshape(lens64.size, -1) if uniform else None
-    elem_starts = None if uniform else exclusive_cumsum(lens64)
-    for g in range(bounds.size - 1):
-        g0, g1 = int(bounds[g]), int(bounds[g + 1])
-        bsel = order[g0:g1]
-        w = int(widths64[bsel[0]])
-        blen = int(lens64[bsel[0]])
-        nblk = g1 - g0
-        n_e = nblk * blen
-        if w == 0 or n_e == 0:
+
+#: Per width: a signed dtype of at least ``width + 1`` bits (int64 above 31).
+_SIGNED = tuple(np.dtype(f"i{narrow_dtype(w + 1).itemsize}") for w in range(65))
+
+
+def _decode_signed(
+    out: np.ndarray,
+    sign_bytes: np.ndarray,
+    payload_bytes: np.ndarray,
+    widths: np.ndarray,
+    lens: np.ndarray,
+    sign_owners: np.ndarray | None,
+    align_bits: int,
+    kernel: str | BitpackKernel,
+) -> np.ndarray:
+    """Decode a run of blocks into the int64 buffer ``out`` (laid out by ``lens``).
+
+    ``sign_owners`` marks the blocks that own a row of the sign section, in
+    block order (``None``: every block).  Each group is unpacked narrow,
+    negated branch-free in a signed dtype of at least ``width + 1`` bits
+    (``v ^= m; v -= m`` with ``m = -sign``; for widths above 31 the int64
+    view, where negation is modular: magnitude ``2**63`` maps to INT64_MIN)
+    and scattered as whole rows into ``out``; zero-width blocks are zeroed.
+    Every element of ``out`` is written exactly once.
+    """
+    sign_lens = lens if sign_owners is None else lens[sign_owners]
+    # Sign bit 1 (negative) becomes the all-ones mask -1, 0 stays 0.
+    neg = decode_signs(sign_bytes, int(sign_lens.sum())).view(np.int8)
+    np.negative(neg, out=neg)
+    sign_rows = _BlockRows(neg, sign_lens)
+    rank = None if sign_owners is None else np.cumsum(sign_owners) - 1
+    out_rows = _BlockRows(out, lens)
+    kern = resolve_kernel(kernel, size=out.size)
+    for bsel, blen, w, vals in _decode_groups(
+        payload_bytes, widths, lens, align_bits, kern
+    ):
+        if vals is None:
+            out_rows.put(bsel, blen, 0)
             continue
-        row_bits = blen * w
-        row_bytes = (row_bits + 7) // 8
-        off_bytes = offsets[bsel] >> 3
-        if buf_words is not None and row_bytes % 8 == 0 and not (off_bytes & 7).any():
-            rows = buf_words[_row_byte_index(off_bytes >> 3, row_bytes >> 3)].view(
-                np.uint8
-            )
-        else:
-            rows = buf[_row_byte_index(off_bytes, row_bytes)]
-        if row_bits % 8 == 0 or nblk == 1:
-            vals = kern.unpack_uints(rows, n_e, w)
-        else:
-            bits = np.unpackbits(rows).reshape(nblk, row_bytes * 8)[:, :row_bits]
-            vals = kern.uints_from_bits(np.ascontiguousarray(bits).reshape(-1), w)
-        # Mirror of the encode-side row gather: scatter whole rows back.
-        if out_rows is not None:
-            out_rows[bsel] = vals.reshape(nblk, blen)
-        else:
-            out[_group_element_index(elem_starts, bsel, blen)] = vals
+        sdt = _SIGNED[w]
+        v = vals.view(sdt) if vals.dtype.itemsize == sdt.itemsize else vals.astype(sdt)
+        m = sign_rows.take(bsel if rank is None else rank[bsel], blen)
+        v ^= m
+        v -= m
+        out_rows.put(bsel, blen, v)
     return out
 
 
@@ -388,29 +483,6 @@ def _encode_magnitudes_bits(
         idx = (elem_off[sel][:, None] + np.arange(w, dtype=np.int64)[None, :]).ravel()
         bits[idx] = group_bits.ravel()
     return pack_bits(bits), total_bits
-
-
-def _decode_magnitudes_bits(
-    payload_bytes: np.ndarray,
-    widths: np.ndarray,
-    lens: np.ndarray,
-    block_bits: np.ndarray,
-    kern: BitpackKernel,
-) -> np.ndarray:
-    elem_w, elem_off = _element_geometry(widths, lens, block_bits)
-    total_bits = int(block_bits.sum())
-    out = np.zeros(elem_w.size, dtype=np.uint64)
-    bits = unpack_bits(payload_bytes, total_bits)
-    for w in np.unique(widths):
-        w = int(w)
-        if w == 0:
-            continue
-        sel = elem_w == w
-        if not sel.any():
-            continue
-        idx = (elem_off[sel][:, None] + np.arange(w, dtype=np.int64)[None, :]).ravel()
-        out[sel] = kern.uints_from_bits(bits[idx], w)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -465,35 +537,33 @@ def decode_block_sections(
     widths: np.ndarray,
     lens: np.ndarray,
     kernel: str | BitpackKernel = AUTO_KERNEL,
+    *,
+    align_bits: int = 1,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Decode a run of blocks back to signed deltas (constant blocks -> 0)."""
-    stored = widths > 0
-    n_elems = int(np.asarray(lens, dtype=np.int64).sum())
-    deltas = np.zeros(n_elems, dtype=np.int64)
-    if not stored.any():
-        return deltas
-    stored_lens = np.asarray(lens, dtype=np.int64)[stored]
-    n_stored_elems = int(stored_lens.sum())
-    signs = decode_signs(sign_bytes, n_stored_elems)
-    mags = decode_magnitudes(
-        payload_bytes, widths[stored], stored_lens, kernel=kernel
-    )
-    signed = apply_signs(signs, mags)
-    if stored.all():
-        deltas[:] = signed
-    else:
-        lens64 = np.asarray(lens, dtype=np.int64)
-        uniform = (
-            lens64.size > 0
-            and int(lens64[0]) > 0
-            and int(lens64.min()) == int(lens64.max())
+    """Decode a run of blocks back to signed int64 deltas (constant blocks -> 0).
+
+    The sign section holds rows for the stored (nonzero-width) blocks only.
+    ``out``, when given, is a C-contiguous int64 buffer of the run's
+    element count that receives the deltas (every element is written).
+    """
+    widths64 = np.asarray(widths, dtype=np.int64)
+    lens64 = np.asarray(lens, dtype=np.int64)
+    n_elems = int(lens64.sum())
+    if out is None:
+        out = np.empty(n_elems, dtype=np.int64)
+    elif (
+        out.shape != (n_elems,)
+        or out.dtype != np.int64
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous int64 array of shape ({n_elems},)"
         )
-        if uniform:
-            blen = int(lens64[0])
-            deltas.reshape(lens64.size, blen)[stored] = signed.reshape(-1, blen)
-        else:
-            deltas[np.repeat(stored, lens64)] = signed
-    return deltas
+    return _decode_signed(
+        out, sign_bytes, payload_bytes, widths64, lens64, widths64 > 0,
+        align_bits, kernel,
+    )
 
 
 def decode_stored_deltas(
@@ -502,20 +572,20 @@ def decode_stored_deltas(
     stored_widths: np.ndarray,
     stored_lens: np.ndarray,
     kernel: str | BitpackKernel = AUTO_KERNEL,
+    *,
+    align_bits: int = 1,
 ) -> np.ndarray:
     """Decode only the stored (non-constant) blocks, leaving them compacted.
 
     Unlike :func:`decode_block_sections` this never materializes the
     constant blocks, which is what lets scalar multiplication and the
     reductions honour the paper's "excluding constant block computations"
-    optimization (Table V).
+    optimization (Table V).  Every given block owns a row of the sign
+    section; a zero-width one decodes to zeros.
     """
-    stored_lens = np.asarray(stored_lens, dtype=np.int64)
-    n_stored_elems = int(stored_lens.sum())
-    if n_stored_elems == 0:
-        return np.zeros(0, dtype=np.int64)
-    signs = decode_signs(sign_bytes, n_stored_elems)
-    mags = decode_magnitudes(
-        payload_bytes, stored_widths, stored_lens, kernel=kernel
+    widths64 = np.asarray(stored_widths, dtype=np.int64)
+    lens64 = np.asarray(stored_lens, dtype=np.int64)
+    out = np.empty(int(lens64.sum()), dtype=np.int64)
+    return _decode_signed(
+        out, sign_bytes, payload_bytes, widths64, lens64, None, align_bits, kernel
     )
-    return apply_signs(signs, mags)

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.bitstream import ByteReader, ByteWriter
 from repro.core.blocks import BlockLayout
+from repro.core.config import valid_eps
 from repro.core.errors import FormatError
 
 __all__ = ["SZOpsCompressed", "MAGIC"]
@@ -220,7 +221,7 @@ class SZOpsCompressed:
                 raise FormatError(f"implausible shape in header: {shape}")
         if block_size <= 0:
             raise FormatError(f"invalid block size {block_size}")
-        if not (eps > 0 and np.isfinite(eps)):
+        if not valid_eps(eps):
             raise FormatError(f"invalid error bound {eps} in header")
         layout = BlockLayout(n_elements, block_size)
         widths = np.frombuffer(r.read_bytes(layout.n_blocks), dtype=np.uint8).copy()

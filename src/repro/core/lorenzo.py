@@ -7,8 +7,9 @@ zero.  Spatially smooth data therefore produces small-magnitude deltas,
 which is what the fixed-length encoder exploits.
 
 Both directions are fully vectorized: the forward pass is one subtraction
-plus a scatter at block starts, and the inverse is a per-block cumulative
-sum done with the full-block reshape trick (ragged tail handled separately).
+plus a scatter at block starts, and the inverse folds the outliers into the
+block-start slots and runs an in-place per-block cumulative sum with the
+full-block reshape trick (ragged tail handled separately).
 """
 
 from __future__ import annotations
@@ -47,28 +48,46 @@ def lorenzo_forward(q: np.ndarray, layout: BlockLayout):
 
 
 def lorenzo_inverse(
-    deltas: np.ndarray, outliers: np.ndarray, layout: BlockLayout
+    deltas: np.ndarray,
+    outliers: np.ndarray,
+    layout: BlockLayout,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Invert :func:`lorenzo_forward`: per-block prefix sum plus the outlier."""
+    """Invert :func:`lorenzo_forward`: per-block prefix sum plus the outlier.
+
+    Each block's outlier is added (``+=``) into its first slot, then one
+    in-place cumulative sum runs per block, so the result equals
+    ``cumsum(deltas) + outlier`` per block in modular int64 even where a
+    (doctored) block-start delta is nonzero.  ``out`` follows NumPy's
+    convention: a C-contiguous int64 array of the layout's shape that
+    receives the result; passing ``deltas`` itself decodes in place.
+    """
     if deltas.shape != (layout.n_elements,):
         raise ValueError("deltas must be 1-D and match the layout")
     if outliers.shape != (layout.n_blocks,):
         raise ValueError("outliers must have one entry per block")
-    deltas = np.ascontiguousarray(deltas, dtype=np.int64)
-    q = np.empty_like(deltas)
-    nf = layout.n_full_blocks
+    if out is None:
+        out = np.array(deltas, dtype=np.int64)
+    else:
+        if (
+            out.shape != deltas.shape
+            or out.dtype != np.int64
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                "out must be a C-contiguous int64 array matching the layout"
+            )
+        if out is not deltas:
+            np.copyto(out, deltas)
     B = layout.block_size
+    # Reconstructs original quantized values (|q| < Q_LIMIT by the
+    # quantizer's guard), so the prefix sum stays inside int64.
+    out[::B] += outliers
+    nf = layout.n_full_blocks
     if nf:
-        body = deltas[: nf * B].reshape(nf, B)
-        out_body = q[: nf * B].reshape(nf, B)
-        np.cumsum(body, axis=1, out=out_body)
-        # Reconstructs original quantized values (|q| < Q_LIMIT by the
-        # quantizer's guard), so the prefix sum stays inside int64.
-        out_body += outliers[:nf, None]  # szops: ignore[SZL101]
-    tail = deltas[nf * B :]
+        body = out[: nf * B].reshape(nf, B)
+        np.cumsum(body, axis=1, out=body)
+    tail = out[nf * B :]
     if tail.size:
-        np.cumsum(tail, out=q[nf * B :])
-        # Reconstructs original quantized values (|q| < Q_LIMIT by the
-        # quantizer's guard), so the prefix sum stays inside int64.
-        q[nf * B :] += outliers[-1]  # szops: ignore[SZL001, SZL101]
-    return q
+        np.cumsum(tail, out=tail)
+    return out

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bitstream import exclusive_cumsum
+from repro.core.blocks import BlockLayout
 from repro.core.encode import block_widths, decode_stored_deltas, encode_block_sections
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
+from repro.core.lorenzo import lorenzo_inverse
 from repro.core.quantize import Q_LIMIT
 
 __all__ = [
@@ -25,29 +27,10 @@ __all__ = [
     "StoredBlocks",
     "stored_quantized",
     "decode_stored_blocks",
-    "ragged_cumsum",
     "ensure_quantized_range",
     "requantize",
     "rebuild_stored",
 ]
-
-
-def ragged_cumsum(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Per-block inclusive prefix sum over a concatenated ragged array.
-
-    Requires ``values[block_start] == 0`` for every block (true for Lorenzo
-    delta arrays, whose block-start slot is always zero) — under that
-    precondition the per-block cumulative sum equals the global cumulative
-    sum minus the global sum at each block's start.
-    """
-    v = np.asarray(values, dtype=np.int64)
-    lens = np.asarray(lens, dtype=np.int64)
-    if v.size == 0:
-        return v.copy()
-    total = np.cumsum(v)
-    starts = exclusive_cumsum(lens)
-    base = total[starts]
-    return total - np.repeat(base, lens)
 
 
 @dataclass
@@ -103,14 +86,14 @@ def decode_stored_blocks(c: SZOpsCompressed) -> StoredBlocks:
     lens = layout.lengths()
     stored = c.widths > 0
     stored_lens = lens[stored]
-    deltas = decode_stored_deltas(
+    q = decode_stored_deltas(
         c.sign_bytes, c.payload_bytes, c.widths[stored], stored_lens
     )
-    q = ragged_cumsum(deltas, stored_lens)
-    if q.size:
-        # Reconstructs the original quantized values, which compression
-        # guarded to |q| < Q_LIMIT — the sum cannot leave int64.
-        q += np.repeat(c.outliers[stored], stored_lens)  # szops: ignore[SZL001, SZL101]
+    # Only the globally last block may be ragged, so the compacted stored
+    # blocks form a block layout of their own: one in-place Lorenzo^-1.
+    lorenzo_inverse(
+        q, c.outliers[stored], BlockLayout(q.size, c.block_size), out=q
+    )
     return StoredBlocks(
         q=q,
         lens=stored_lens,

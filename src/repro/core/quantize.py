@@ -67,52 +67,59 @@ def quantize(values: np.ndarray, eps: float) -> np.ndarray:
         v = v.astype(np.float64)
     shape = v.shape
     v = v.reshape(-1)
-    scaled = np.add(v, eps, dtype=np.float64)
-    scaled /= 2.0 * eps
-    np.floor(scaled, out=scaled)
-    # A non-finite input makes its bin non-finite, and for tiny eps the bin
-    # ratio overflows float64 to ±inf even for finite input;
-    # floor(±inf).astype(int64) is undefined garbage.  Reject before the
-    # cast — mirroring quantize_scalar — so the int domain below only ever
-    # sees bins inside the |q| < Q_LIMIT band.
-    if scaled.size and (
-        not np.all(np.isfinite(scaled))
-        or np.abs(scaled).max() >= float(Q_LIMIT)
-    ):
-        if not np.all(np.isfinite(v)):
-            raise ValueError("input contains non-finite values; error-bounded "
-                             "quantization requires finite data")
-        raise ValueError(
-            f"data at eps {eps!r} overflows the quantized integer range; "
-            "increase the error bound"
-        )
-    q = scaled.astype(np.int64)
-    # Formula (1) guarantees the bound in exact arithmetic; float64 rounding
-    # of (v + eps) / (2 eps) can push an element one bin off by ~1 ulp of
-    # its value.  The correction turns the bound into a hard guarantee; it
-    # can only fire where |err| > eps (module docstring), so only those
-    # candidates pay for np.spacing.  scaled holds q exactly, so its buffer
-    # is reused for err = 2*eps*q - v.
-    err = np.multiply(scaled, 2.0 * eps, out=scaled)
-    err -= v
-    np.abs(err, out=err)
-    idx = np.flatnonzero(err > eps)
-    if idx.size:
-        qc = q[idx]
-        vc = v[idx].astype(np.float64)
-        err_c = 2.0 * eps * qc.astype(np.float64) - vc
-        half_ulp = 0.5 * np.spacing(np.abs(vc) + eps)
-        np.subtract(qc, 1, out=qc, where=err_c > eps + half_ulp)
-        np.add(qc, 1, out=qc, where=err_c < -(eps + half_ulp))
-        q[idx] = qc
+    # Overflow and invalid values in the float pipeline are not errors in
+    # themselves: the guard below turns every such bin into a typed error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.add(v, eps, dtype=np.float64)
+        scaled /= 2.0 * eps
+        np.floor(scaled, out=scaled)
+        # A non-finite input makes its bin non-finite, and for tiny eps the bin
+        # ratio overflows float64 to ±inf even for finite input;
+        # floor(±inf).astype(int64) is undefined garbage.  Reject before the
+        # cast — mirroring quantize_scalar — so the int domain below only ever
+        # sees bins inside the |q| < Q_LIMIT band.
+        if scaled.size and (
+            not np.all(np.isfinite(scaled))
+            or np.abs(scaled).max() >= float(Q_LIMIT)
+        ):
+            if not np.all(np.isfinite(v)):
+                raise ValueError("input contains non-finite values; error-bounded "
+                                 "quantization requires finite data")
+            raise ValueError(
+                f"data at eps {eps!r} overflows the quantized integer range; "
+                "increase the error bound"
+            )
+        q = scaled.astype(np.int64)
+        # Formula (1) guarantees the bound in exact arithmetic; float64 rounding
+        # of (v + eps) / (2 eps) can push an element one bin off by ~1 ulp of
+        # its value.  The correction turns the bound into a hard guarantee; it
+        # can only fire where |err| > eps (module docstring), so only those
+        # candidates pay for np.spacing.  scaled holds q exactly, so its buffer
+        # is reused for err = 2*eps*q - v.
+        err = np.multiply(scaled, 2.0 * eps, out=scaled)
+        err -= v
+        np.abs(err, out=err)
+        idx = np.flatnonzero(err > eps)
+        if idx.size:
+            qc = q[idx]
+            vc = v[idx].astype(np.float64)
+            err_c = 2.0 * eps * qc.astype(np.float64) - vc
+            half_ulp = 0.5 * np.spacing(np.abs(vc) + eps)
+            np.subtract(qc, 1, out=qc, where=err_c > eps + half_ulp)
+            np.add(qc, 1, out=qc, where=err_c < -(eps + half_ulp))
+            q[idx] = qc
     return q.reshape(shape)
 
 
 def dequantize(bins: np.ndarray, eps: float, dtype=np.float64) -> np.ndarray:
-    """Reconstruct representative values ``2 * eps * q`` from bin numbers."""
+    """Reconstruct representative values ``2 * eps * q`` from bin numbers.
+
+    One ufunc: the float64 product, rounded once into the ``dtype`` output.
+    """
     check_eps(eps)
     q = np.asarray(bins)
-    return (2.0 * eps * q.astype(np.float64)).astype(dtype)
+    out = np.empty(q.shape, dtype=dtype)
+    return np.multiply(q, 2.0 * eps, dtype=np.float64, out=out, casting="unsafe")
 
 
 def quantize_scalar(value: float, eps: float) -> int:

@@ -88,14 +88,14 @@ def decode_chunk(arrays: dict[str, np.ndarray], chunk: dict[str, Any]) -> int:
     """
     lo, hi = chunk["lo"], chunk["hi"]
     elo, ehi = chunk["elem_lo"], chunk["elem_hi"]
-    deltas = decode_block_sections(
+    decode_block_sections(
         arrays["sign_bytes"][chunk["sign_b0"] : chunk["sign_b1"]],
         arrays["payload_bytes"][chunk["payload_b0"] : chunk["payload_b1"]],
         arrays["widths"][lo:hi],
         arrays["lens"][lo:hi],
         kernel=_bitpack_kernel(chunk.get("kernel", "auto")),
+        out=arrays["deltas_out"][elo:ehi],
     )
-    arrays["deltas_out"][elo:ehi] = deltas
     return ehi - elo
 
 

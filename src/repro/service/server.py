@@ -47,6 +47,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.errors import SZOpsError
 from repro.core.format import SZOpsCompressed
@@ -182,6 +183,9 @@ class ServiceServer:
         self._server: asyncio.AbstractServer | None = None
         self._inflight = 0
         self._active: set["asyncio.Task[None]"] = set()
+        #: Connection-handler tasks; shutdown cancels the ones still parked
+        #: on a read so none outlives the loop.
+        self._connections: set["asyncio.Task[Any]"] = set()
         self._closing = False
         self.port: int = cfg.port
 
@@ -222,6 +226,14 @@ class ServiceServer:
             )
             for task in pending:
                 task.cancel()
+        # In-flight requests have replied (or been cancelled); handlers left
+        # are idle connections parked in readexactly.  Cancel and await them
+        # so none is destroyed pending when the loop closes.
+        connections = set(self._connections)
+        for task in connections:
+            task.cancel()
+        if connections:
+            await asyncio.gather(*connections, return_exceptions=True)
         # Pool/backend teardown joins worker threads: blocking calls that
         # must not run on the event loop (a sibling server on the same
         # loop would stall mid-request).  to_thread, not run_in_executor
@@ -236,6 +248,9 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         max_frame = self.config.max_frame
+        me = asyncio.current_task()
+        if me is not None:
+            self._connections.add(me)
         try:
             while not self._closing:
                 try:
@@ -275,6 +290,8 @@ class ServiceServer:
                 # request order and a slow client cannot interleave frames.
                 await task
         finally:
+            if me is not None:
+                self._connections.discard(me)
             with suppress(ConnectionError, OSError):
                 writer.close()
                 await writer.wait_closed()

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro import SZOps
+from repro.analysis import assert_stream_ok
 from repro.core.errors import FormatError
 from repro.core.format import MAGIC, SZOpsCompressed
 
@@ -42,6 +45,18 @@ class TestSerialization:
         buf[len(MAGIC)] = 99
         with pytest.raises(FormatError, match="version"):
             SZOpsCompressed.from_bytes(bytes(buf))
+
+    @pytest.mark.parametrize("eps", [1e308, float("inf"), float("nan"), 0.0])
+    def test_header_error_bound_checked(self, container, eps):
+        """A header bound whose bin width ``2*eps`` is not finite is refused."""
+        buf = container.to_bytes()
+        field = struct.pack("<d", container.eps)
+        assert buf.count(field) == 1
+        doctored = buf.replace(field, struct.pack("<d", eps))
+        with pytest.raises(FormatError, match="error bound"):
+            SZOpsCompressed.from_bytes(doctored)
+        with pytest.raises(FormatError):
+            assert_stream_ok(doctored)
 
     def test_truncation_detected(self, container):
         buf = container.to_bytes()

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import resolve_error_bound
+from repro import SZOps, ops
+from repro.core.config import check_eps, resolve_error_bound
 from repro.core.errors import ConfigError
 from repro.core.quantize import (
     Q_LIMIT,
@@ -22,8 +25,10 @@ def reference_quantize(values, eps):
     """The three-step QZ formula with the correction checked on every element.
 
     Kept as the reference the single-pass ``quantize`` must match exactly,
-    error messages included.
+    error messages included; the bound is checked first, as ``quantize``
+    does.
     """
+    check_eps(eps)
     v = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("input contains non-finite values; error-bounded "
@@ -235,6 +240,36 @@ class TestValidation:
         for mode in ("abs", "rel"):
             with pytest.raises(ConfigError, match="finite"):
                 resolve_error_bound(eps, mode, 1.0)
+
+    @pytest.mark.parametrize("eps", [8.99e307, 1e308, np.finfo(np.float64).max])
+    def test_eps_with_overflowing_bin_width_rejected(self, eps):
+        # 2*eps overflows to inf: every representative would decompress to NaN
+        data = np.linspace(-1.0, 1.0, 64)
+        with pytest.raises(ConfigError, match=r"2\*eps"):
+            SZOps().compress(data, eps)
+        with pytest.raises(ConfigError, match=r"2\*eps"):
+            quantize_scalar(1.0, eps)
+        with pytest.raises(ConfigError, match=r"2\*eps"):
+            dequantize(np.zeros(4, dtype=np.int64), eps)
+
+    def test_largest_accepted_eps_stays_bounded(self):
+        eps = float(np.finfo(np.float64).max) / 2  # 2*eps is still finite
+        data = np.linspace(-1.0, 1.0, 64)
+        codec = SZOps()
+        c = codec.compress(data, eps)
+        out = codec.decompress(c)
+        assert np.all(np.isfinite(out))
+        assert np.abs(out - data).max() <= eps
+        assert np.isfinite(ops.mean(c))
+
+    def test_quantize_raises_without_numpy_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                quantize(np.array([1e10, 2.0]), 1e-300)
+            with pytest.raises(ValueError, match="non-finite"):
+                quantize(np.array([np.inf, 1.0]), 1e-300)
+            assert quantize(np.array([1e308, -1e308]), 1e300).dtype == np.int64
 
     @pytest.mark.parametrize("value_range", [np.nan, np.inf])
     def test_non_finite_value_range_rejected(self, value_range):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import subprocess
@@ -117,3 +118,29 @@ def test_new_connections_refused_after_drain(blob):
     handle.stop()
     with pytest.raises(OSError):
         ServiceClient(handle.host, handle.port, timeout_s=1.0)
+
+
+def test_idle_connection_across_stop_leaves_no_unraisable():
+    """A client idling on an open connection while the server stops.
+
+    Its handler is parked in ``readexactly``; shutdown must cancel and await
+    it, not leave it pending on a closed loop, where collecting it raises
+    inside the coroutine's ``finally`` ("Exception ignored in ...").
+    """
+    seen: list = []
+    previous = sys.unraisablehook
+    sys.unraisablehook = seen.append
+    try:
+        handle = ThreadedServer(ServiceConfig()).start()
+        client = ServiceClient(handle.host, handle.port)
+        try:
+            assert client.health()["status"] == "ok"  # handler is now parked
+            handle.stop()
+            assert not handle.server._connections
+        finally:
+            client.close()
+        del handle  # the last reference to the loop and its tasks
+        gc.collect()
+    finally:
+        sys.unraisablehook = previous
+    assert not seen, [str(u.exc_value) for u in seen]
