@@ -2028,6 +2028,26 @@ class Interpreter:
             return v.itv.lo
         return None
 
+    @staticmethod
+    def _finite_if_held(v: Value, held: bool) -> Value:
+        """Finiteness from a ``x.max() < c`` / ``x.min() > c`` that *held*.
+
+        ``max``/``min`` propagate NaN and every ordered comparison with NaN
+        is False, so the comparison evaluating True proves ``x`` NaN-free;
+        with both interval bounds then finite (the other bound from any
+        guard), ``x`` has no ±inf either.  A comparison that failed proves
+        nothing: ``if x.max() >= c: raise`` lets NaN through.
+        """
+        if (
+            held
+            and v.kind == KIND_FLOAT
+            and not v.itv.empty
+            and v.itv.lo is not None
+            and v.itv.hi is not None
+        ):
+            return replace(v, finite=True)
+        return v
+
     def _refine_against_const(
         self,
         state: State,
@@ -2039,6 +2059,7 @@ class Interpreter:
         mirrored: bool,
     ) -> None:
         # normalize to  expr <op> c  on the True branch
+        held = branch  # the comparison as written evaluated True
         opname = type(op).__name__
         if mirrored:
             opname = {"Lt": "Gt", "LtE": "GtE", "Gt": "Lt", "GtE": "LtE"}.get(opname, opname)
@@ -2091,11 +2112,13 @@ class Interpreter:
         elif tag == "max" and opname in ("Lt", "LtE"):
             base = origin[1]
             bv = state.env.get(base, self.seed(base))
-            state.env[base] = bv.with_itv(bv.itv.meet(Interval(None, upper.hi)))
+            bv = bv.with_itv(bv.itv.meet(Interval(None, upper.hi)))
+            state.env[base] = self._finite_if_held(bv, held)
         elif tag == "min" and opname in ("Gt", "GtE"):
             base = origin[1]
             bv = state.env.get(base, self.seed(base))
-            state.env[base] = bv.with_itv(bv.itv.meet(Interval(upper.lo, None)))
+            bv = bv.with_itv(bv.itv.meet(Interval(upper.lo, None)))
+            state.env[base] = self._finite_if_held(bv, held)
         elif tag == "size" and opname == "Eq" and c == 0:
             base = origin[1]
             bv = state.env.get(base, self.seed(base))

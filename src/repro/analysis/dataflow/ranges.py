@@ -7,10 +7,12 @@ the result interval fits int64 — a kernel guarded by the
 raise``) is *proven* safe and needs no suppression.
 
 ``SZL102`` upgrades the syntactic SZL002 for casts: ``x.astype(int64)``
-on a float value is flagged unless the engine proved both finiteness
-(``np.all(np.isfinite(x))`` guard) and a bound within int64 (an
-``np.abs(x).max() >= bound`` guard) — NaN alone slips magnitude
-comparisons, so both arms are required.
+on a float value is flagged unless the engine proved both finiteness and
+a bound within int64.  Finiteness comes from an ``np.all(np.isfinite(x))``
+guard, or from ``x.max() < bound and x.min() > -bound`` holding (``max``
+and ``min`` propagate NaN, and NaN fails every ordered comparison); a
+guard that raises when ``np.abs(x).max() >= bound`` bounds ``x`` but lets
+NaN through, so it needs the ``isfinite`` arm as well.
 """
 
 from __future__ import annotations
@@ -80,7 +82,10 @@ class RangesPass(Interpreter):
             return
         if not src.finite:
             why = "the value is not proven finite (NaN/inf casts are undefined)"
-            how = "reject non-finite input first: `if not np.all(np.isfinite(x)): raise`"
+            how = (
+                "reject non-finite input first: `if not np.all(np.isfinite(x)): raise`, "
+                "or `if not (x.max() < L and x.min() > -L): raise`"
+            )
         else:
             why = f"the value range {_fmt(src.itv)} is not provably within int64"
             how = "bound the magnitude first: `if np.abs(x).max() >= float(Q_LIMIT): raise`"
@@ -88,7 +93,7 @@ class RangesPass(Interpreter):
             "SZL102",
             node,
             f"float → int64 cast is unguarded: {why}",
-            hint=f"{how}; both guards are needed — NaN slips magnitude comparisons",
+            hint=f"{how}; a guard raising on `x >= L` alone lets NaN through",
         )
 
 

@@ -29,16 +29,16 @@ import numpy as np
 from repro.baselines.base import BaseCompressor
 from repro.bitstream import ByteReader, ByteWriter
 from repro.core.blocks import BlockLayout
+from repro.core.compressor import encode_values
 from repro.core.encode import (
-    block_widths,
     decode_block_sections,
     decode_stored_deltas,
     encode_magnitudes,
     encode_signs,
 )
 from repro.core.errors import FormatError
-from repro.core.lorenzo import lorenzo_forward, lorenzo_inverse
-from repro.core.quantize import dequantize, quantize
+from repro.core.lorenzo import lorenzo_inverse
+from repro.core.quantize import dequantize
 
 __all__ = ["SZp"]
 
@@ -83,13 +83,8 @@ class SZp(BaseCompressor):
     def _compress_payload(
         self, flat: np.ndarray, eps: float, shape: tuple[int, ...]
     ) -> bytes:
-        layout = BlockLayout(flat.size, self.block_size)
-        lens = layout.lengths()
-        q = quantize(flat, eps)
-        deltas, outliers = lorenzo_forward(q, layout)
-        signs = (deltas < 0).view(np.uint8)
-        mags = np.abs(deltas).astype(np.uint64)
-        widths = block_widths(mags, lens)
+        lens = BlockLayout(flat.size, self.block_size).lengths()
+        signs, mags, widths, outliers = encode_values(flat, eps, self.block_size)
 
         if self.full_sign_bitmap:
             sign_bytes = encode_signs(signs)

@@ -27,20 +27,62 @@ import numpy as np
 
 from repro.bitstream import exclusive_cumsum
 from repro.core.blocks import BlockLayout
-from repro.core.config import SZOpsConfig, resolve_error_bound
+from repro.core.config import SZOpsConfig, check_eps, resolve_error_bound
 from repro.core.encode import (
-    block_widths,
+    EncodeFront,
     decode_block_sections,
+    encode_bins,
     encode_block_sections,
+    encode_front,
 )
 from repro.core.format import SZOpsCompressed
 from repro.core.lorenzo import lorenzo_forward, lorenzo_inverse
-from repro.core.quantize import dequantize, quantize
+from repro.core.quantize import dequantize, quantize, quantize_error
 from repro.parallel import kernels
 from repro.parallel.backends import ExecutionBackend, get_backend
 from repro.parallel.partition import BlockChunk, block_chunks
 
-__all__ = ["SZOps"]
+__all__ = ["SZOps", "encode_values"]
+
+
+def _accumulate(timings: dict[str, float], key: str, seconds: float) -> None:
+    timings[key] = timings.get(key, 0.0) + seconds
+
+
+def encode_values(
+    flat: np.ndarray,
+    eps: float,
+    block_size: int,
+    timings: dict[str, float] | None = None,
+) -> EncodeFront:
+    """QZ, LZ and the rest of the encode front over ``flat``, tile by tile.
+
+    Raises what one :func:`~repro.core.quantize.quantize` call over all of
+    ``flat`` would: a later tile's non-finite input outranks an earlier
+    tile's overflow.  ``timings`` accumulates ``"quantize_s"`` (QZ) and
+    ``"lorenzo_s"`` (LZ and the rest of the front).
+    """
+    check_eps(eps)
+    qz_s = 0.0
+
+    def tile_deltas(
+        elems: slice, tile_layout: BlockLayout, out: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal qz_s
+        t0 = perf_counter()
+        try:
+            q = quantize(flat[elems], eps)
+        except ValueError:
+            raise quantize_error(flat, eps) from None
+        qz_s += perf_counter() - t0
+        return lorenzo_forward(q, tile_layout, out=out)
+
+    t0 = perf_counter()
+    front = encode_front(BlockLayout(flat.size, block_size), tile_deltas)
+    if timings is not None:
+        _accumulate(timings, "quantize_s", qz_s)
+        _accumulate(timings, "lorenzo_s", perf_counter() - t0 - qz_s)
+    return front
 
 
 class SZOps:
@@ -135,10 +177,13 @@ class SZOps:
     ) -> SZOpsCompressed:
         """Compress ``data`` under an absolute or value-range-relative bound.
 
+        QZ, LZ and the sign/magnitude/width split run tile by tile
+        (:func:`encode_values`); the errors are those of
+        one :func:`~repro.core.quantize.quantize` call over all of ``data``.
         ``timings``, when given, accumulates per-stage wall time under the
-        keys ``"quantize_s"`` (QZ), ``"lorenzo_s"`` (LZ) and ``"encode_s"``
-        (BF) — the Figure 5-style breakdown the parallel benchmark uses to
-        attribute backend wins.
+        keys ``"quantize_s"`` (QZ), ``"lorenzo_s"`` (LZ and the rest of the
+        encode front) and ``"encode_s"`` (BF) — the Figure 5-style breakdown
+        the parallel benchmark uses to attribute backend wins.
         """
         arr = np.asarray(data)
         if not np.issubdtype(arr.dtype, np.floating):
@@ -148,13 +193,8 @@ class SZOps:
             raise ValueError("cannot compress an empty array")
         value_range = float(flat.max() - flat.min()) if mode == "rel" else 0.0
         eps = resolve_error_bound(error_bound, mode, value_range)
-        t0 = perf_counter()
-        q = quantize(flat, eps)
-        if timings is not None:
-            timings["quantize_s"] = timings.get("quantize_s", 0.0) + (
-                perf_counter() - t0
-            )
-        return self.encode_quantized(q, arr.shape, arr.dtype, eps, timings=timings)
+        front = encode_values(flat, eps, self.block_size, timings)
+        return self._encode_sections(front, arr.shape, arr.dtype, eps, timings)
 
     def encode_quantized(
         self,
@@ -167,30 +207,30 @@ class SZOps:
     ) -> SZOpsCompressed:
         """Run LZ + BF on an already-quantized integer array.
 
-        Exposed because scalar multiplication re-enters the pipeline at this
-        stage (it never touches inverse quantization, Table II's note).
+        The stream equals :meth:`compress`'s for data that quantizes to
+        ``q``.  (Scalar multiplication re-encodes through
+        :func:`repro.core.ops._partial.rebuild_stored` instead, which keeps
+        constant blocks out of the payload work.)
         """
-        layout = BlockLayout(q.size, self.config.block_size)
-        lens = layout.lengths()
         t0 = perf_counter()
-        deltas, outliers = lorenzo_forward(q, layout)
-        signs = (deltas < 0).view(np.uint8)
-        mags_i = np.abs(deltas)
-        widths = block_widths(mags_i.view(np.uint64), lens)
-        if int(widths.max(initial=0)) <= 32:
-            # Narrow magnitudes: every block width fits uint32, so the BF
-            # stage gathers half the bytes and the wordpack kernel merges
-            # in uint32 lanes end to end (same bit stream either way).
-            mags = mags_i.astype(np.uint32)
-        else:
-            mags = mags_i.view(np.uint64)
+        front = encode_bins(q, self.block_size)
         if timings is not None:
-            timings["lorenzo_s"] = timings.get("lorenzo_s", 0.0) + (
-                perf_counter() - t0
-            )
+            _accumulate(timings, "lorenzo_s", perf_counter() - t0)
+        return self._encode_sections(front, shape, dtype, eps, timings)
 
+    def _encode_sections(
+        self,
+        front: EncodeFront,
+        shape: tuple[int, ...],
+        dtype: np.dtype,
+        eps: float,
+        timings: dict[str, float] | None,
+    ) -> SZOpsCompressed:
+        """The BF stage: pack the front's planes into a container."""
+        signs, mags, widths, outliers = front
+        lens = BlockLayout(signs.size, self.config.block_size).lengths()
         t0 = perf_counter()
-        chunks = self._chunks(q.size)
+        chunks = self._chunks(signs.size)
         if len(chunks) == 1:
             sign_bytes, payload_bytes = encode_block_sections(
                 mags, signs, widths, lens, kernel=self.config.bitpack_kernel
@@ -200,9 +240,7 @@ class SZOps:
                 mags, signs, widths, lens, chunks
             )
         if timings is not None:
-            timings["encode_s"] = timings.get("encode_s", 0.0) + (
-                perf_counter() - t0
-            )
+            _accumulate(timings, "encode_s", perf_counter() - t0)
 
         return SZOpsCompressed(
             shape=tuple(shape),

@@ -24,6 +24,12 @@ formats guarantee by construction (block sizes are multiples of 8, or the
 stream is byte/word aligned).  A bit-granular fallback covers arbitrary
 geometries.
 
+The *encode front* that feeds it — QZ, LZ, signs, magnitudes and block
+widths — runs once over cache-sized, block-aligned tiles
+(:func:`encode_front`), shared by every encoder: ``SZOps.compress`` and
+``encode_quantized``, the scalar-multiply / lazy re-encode, the
+multivariate combine and the SZp baseline.
+
 ``align_bits`` rounds every block's payload up to a multiple of that many
 bits.  SZOps always uses 1 (tight packing); SZp passes its 32-bit word
 alignment, reproducing the format overhead the paper cites as SZp's
@@ -32,7 +38,8 @@ compression-efficiency limitation.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +54,14 @@ from repro.bitstream import (
     resolve_kernel,
     unpack_bits,
 )
+from repro.core.blocks import BlockLayout
+from repro.core.lorenzo import lorenzo_forward
 
 __all__ = [
+    "FRONT_TILE",
+    "EncodeFront",
+    "encode_front",
+    "encode_bins",
     "block_widths",
     "payload_bit_counts",
     "encode_signs",
@@ -67,23 +80,18 @@ def block_widths(mags: np.ndarray, lens: np.ndarray) -> np.ndarray:
     ``mags`` is the concatenation of the blocks' delta magnitudes and
     ``lens`` gives each block's element count.
     """
-    lens = np.asarray(lens, dtype=np.int64)
-    n_blocks = lens.size
-    widths = np.zeros(n_blocks, dtype=np.uint8)
-    if mags.size == 0:
-        return widths
-    # Per-block max via reduceat (handles ragged lengths in one call).
-    starts = exclusive_cumsum(lens)
+    return bit_width(_block_maxima(mags, np.asarray(lens, dtype=np.int64)))
+
+
+def _block_maxima(mags: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Per-block max of ``mags`` (0 for an empty block), one ``reduceat``."""
     nonempty = lens > 0
-    if np.all(nonempty):
-        maxima = np.maximum.reduceat(mags, starts)
-    else:
-        maxima = np.zeros(n_blocks, dtype=mags.dtype)
-        maxima[nonempty] = np.maximum.reduceat(mags, starts[nonempty])[
-            : int(nonempty.sum())
-        ]
-    widths[:] = bit_width(maxima)
-    return widths
+    if mags.size and nonempty.all():
+        return np.maximum.reduceat(mags, exclusive_cumsum(lens))
+    maxima = np.zeros(lens.size, dtype=mags.dtype)
+    if mags.size:
+        maxima[nonempty] = np.maximum.reduceat(mags, exclusive_cumsum(lens)[nonempty])
+    return maxima
 
 
 def payload_bit_counts(
@@ -589,3 +597,83 @@ def decode_stored_deltas(
     return _decode_signed(
         out, sign_bytes, payload_bytes, widths64, lens64, None, align_bits, kernel
     )
+
+
+# --------------------------------------------------------------------------
+# the encode front: QZ -> LZ -> signs / magnitudes -> widths, tile by tile
+# --------------------------------------------------------------------------
+
+#: Elements per encode-front tile, rounded down to whole blocks (at least
+#: one): a tile's float64/int64 working set stays in L2 cache.
+FRONT_TILE = 1 << 15
+
+
+class EncodeFront(NamedTuple):
+    """The planes the BF stage encodes, plus the outliers.
+
+    ``mags`` is uint32 while every block width is at most 32, else uint64;
+    the BF stage writes the same bit stream from either.
+    """
+
+    signs: np.ndarray  #: uint8 per element, 1 = negative delta
+    mags: np.ndarray  #: |delta| per element
+    widths: np.ndarray  #: uint8 bit width per block
+    outliers: np.ndarray  #: int64 first bin per block
+
+
+#: ``(elements, tile layout, out) -> (deltas, outliers)`` of one tile:
+#: bins the tile's elements, then Lorenzo-codes them into ``out``.
+TileDeltas = Callable[[slice, BlockLayout, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def encode_front(layout: BlockLayout, tile_deltas: TileDeltas) -> EncodeFront:
+    """Run the encode front over ``layout`` in one pass of block-aligned tiles.
+
+    ``tile_deltas`` produces each tile's Lorenzo deltas (into the int64
+    buffer it is handed, which is reused across tiles) and outliers; tiles
+    hold whole blocks, so tile-local Lorenzo coding is the global one.  Per
+    tile the deltas are split into signs and magnitudes (in place), the
+    blocks' maxima taken while the tile is in cache (the widths follow from
+    all of them at the end), and the magnitudes narrowed into the output
+    plane.  Only the output planes are full size.  The magnitude plane
+    starts as uint32 and widens to uint64 once, at the first tile holding
+    a block wider than 32 bits.  An exception from ``tile_deltas``
+    propagates as raised.
+    """
+    n, B = layout.n_elements, layout.block_size
+    tile = max(1, FRONT_TILE // B) * B
+    signs = np.empty(n, dtype=np.uint8)
+    mags = np.empty(n, dtype=np.uint32)
+    maxima = np.empty(layout.n_blocks, dtype=np.uint64)
+    outliers = np.empty(layout.n_blocks, dtype=np.int64)
+    buf = np.empty(min(tile, n), dtype=np.int64)
+    full_lens = BlockLayout(buf.size, B).lengths()
+    for lo in range(0, n, tile):
+        hi = min(lo + tile, n)
+        tile_layout = BlockLayout(hi - lo, B)
+        lens = full_lens if hi - lo == buf.size else tile_layout.lengths()
+        blocks = slice(lo // B, lo // B + lens.size)
+        deltas, outliers[blocks] = tile_deltas(
+            slice(lo, hi), tile_layout, buf[: hi - lo]
+        )
+        np.less(deltas, 0, out=signs[lo:hi].view(np.bool_))
+        m = np.abs(deltas, out=deltas).view(np.uint64)
+        maxima[blocks] = _block_maxima(m, lens)
+        if mags.dtype == np.uint32 and int(maxima[blocks].max()) >> 32:
+            wide = np.empty(n, dtype=np.uint64)
+            wide[:lo] = mags[:lo]
+            mags = wide
+        np.copyto(mags[lo:hi], m, casting="unsafe")
+    return EncodeFront(signs, mags, bit_width(maxima), outliers)
+
+
+def encode_bins(q: np.ndarray, block_size: int) -> EncodeFront:
+    """The encode front over given bins ``q`` (a re-encode: no QZ)."""
+    q = np.ascontiguousarray(q, dtype=np.int64).reshape(-1)
+
+    def tile_deltas(
+        elems: slice, tile_layout: BlockLayout, out: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return lorenzo_forward(q[elems], tile_layout, out=out)
+
+    return encode_front(BlockLayout(q.size, block_size), tile_deltas)

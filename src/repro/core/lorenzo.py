@@ -7,9 +7,10 @@ zero.  Spatially smooth data therefore produces small-magnitude deltas,
 which is what the fixed-length encoder exploits.
 
 Both directions are fully vectorized: the forward pass is one subtraction
-plus a scatter at block starts, and the inverse folds the outliers into the
-block-start slots and runs an in-place per-block cumulative sum with the
-full-block reshape trick (ragged tail handled separately).
+plus a strided store at block starts (into a caller's buffer when the
+encode front runs it tile by tile), and the inverse folds the outliers into
+the block-start slots and runs an in-place per-block cumulative sum with
+the full-block reshape trick (ragged tail handled separately).
 """
 
 from __future__ import annotations
@@ -21,13 +22,17 @@ from repro.core.blocks import BlockLayout
 __all__ = ["lorenzo_forward", "lorenzo_inverse"]
 
 
-def lorenzo_forward(q: np.ndarray, layout: BlockLayout):
+def lorenzo_forward(
+    q: np.ndarray, layout: BlockLayout, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply the blockwise 1-D Lorenzo operator.
 
     Parameters
     ----------
     q : int64 array of quantization bins, shape ``(n_elements,)``.
     layout : block geometry.
+    out : optional C-contiguous int64 array of ``q``'s shape (not ``q``
+        itself) that receives the deltas, NumPy-style.
 
     Returns
     -------
@@ -37,13 +42,26 @@ def lorenzo_forward(q: np.ndarray, layout: BlockLayout):
     if q.shape != (layout.n_elements,):
         raise ValueError("q must be 1-D and match the layout")
     q = np.ascontiguousarray(q, dtype=np.int64)
-    deltas = np.empty_like(q)
+    if out is None:
+        deltas = np.empty_like(q)
+    elif (
+        out.shape != q.shape
+        or out.dtype != np.int64
+        or not out.flags.c_contiguous
+        or np.may_share_memory(out, q)
+    ):
+        raise ValueError(
+            "out must be a C-contiguous int64 array matching the layout, "
+            "not overlapping q"
+        )
+    else:
+        deltas = out
+    B = layout.block_size
     if q.size:
         deltas[0] = 0
         np.subtract(q[1:], q[:-1], out=deltas[1:])
-    starts = layout.starts()
-    outliers = q[starts] if q.size else np.zeros(0, dtype=np.int64)
-    deltas[starts] = 0
+    outliers = q[::B].copy()
+    deltas[::B] = 0
     return deltas, outliers
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitstream import exclusive_cumsum
 from repro.core.blocks import BlockLayout
-from repro.core.encode import block_widths, decode_stored_deltas, encode_block_sections
+from repro.core.encode import decode_stored_deltas, encode_bins, encode_block_sections
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
 from repro.core.lorenzo import lorenzo_inverse
@@ -171,18 +170,13 @@ def rebuild_stored(
     new_outliers[~stored] = const_outliers
 
     if q_stored.size:
-        starts = exclusive_cumsum(blocks.lens)
-        deltas = np.empty_like(q_stored)
-        deltas[0] = 0
-        np.subtract(q_stored[1:], q_stored[:-1], out=deltas[1:])
-        deltas[starts] = 0
-        new_outliers[stored] = q_stored[starts]
-        signs = (deltas < 0).view(np.uint8)
-        mags = np.abs(deltas).astype(np.uint64)
-        stored_widths = block_widths(mags, blocks.lens)
-        new_widths[stored] = stored_widths
+        # Only the globally last block may be ragged, so the stored blocks
+        # form a block layout of their own (``blocks.lens`` is its lengths).
+        front = encode_bins(q_stored, c.block_size)
+        new_outliers[stored] = front.outliers
+        new_widths[stored] = front.widths
         sign_bytes, payload_bytes = encode_block_sections(
-            mags, signs, stored_widths, blocks.lens
+            front.mags, front.signs, front.widths, blocks.lens
         )
     else:
         sign_bytes = np.zeros(0, dtype=np.uint8)

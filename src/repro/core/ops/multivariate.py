@@ -25,8 +25,7 @@ import math
 
 import numpy as np
 
-from repro.bitstream import exclusive_cumsum
-from repro.core.encode import block_widths, encode_block_sections
+from repro.core.encode import encode_bins, encode_block_sections
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
 from repro.core.ops._partial import (
@@ -107,22 +106,13 @@ def _combine(a: SZOpsCompressed, b: SZOpsCompressed, sign: int) -> SZOpsCompress
         qc = ensure_quantized_range(
             qa + sign * qb, "compressed-domain combine"
         )
-        sel_elems = np.repeat(any_stored, lens)
-        q_sel = qc[sel_elems]
-        sel_lens = lens[any_stored]
-        starts = exclusive_cumsum(sel_lens)
-        deltas = np.empty_like(q_sel)
-        if q_sel.size:
-            deltas[0] = 0
-            np.subtract(q_sel[1:], q_sel[:-1], out=deltas[1:])
-            deltas[starts] = 0
-            new_outliers[any_stored] = q_sel[starts]
-        signs = (deltas < 0).view(np.uint8)
-        mags = np.abs(deltas).astype(np.uint64)
-        sel_widths = block_widths(mags, sel_lens)
-        new_widths[any_stored] = sel_widths
+        q_sel = qc[np.repeat(any_stored, lens)]
+        # The selected blocks keep the one ragged block last: a layout.
+        front = encode_bins(q_sel, a.block_size)
+        new_outliers[any_stored] = front.outliers
+        new_widths[any_stored] = front.widths
         sign_bytes, payload_bytes = encode_block_sections(
-            mags, signs, sel_widths, sel_lens
+            front.mags, front.signs, front.widths, lens[any_stored]
         )
     else:
         sign_bytes = np.zeros(0, dtype=np.uint8)

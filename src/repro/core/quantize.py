@@ -25,7 +25,8 @@ is exact, not a heuristic: ``0.5*ulp >= 0`` and float64 addition is
 monotone, so ``|err| > eps + 0.5*ulp`` implies ``|err| > eps``, and every
 element the full test would move is a candidate.  ``np.spacing`` and the
 ±1 fix then run on the candidates alone (almost none on smooth data), so
-the quantizer makes one pass over the input plus one over its error.
+the quantizer makes one pass over the input plus one over its error (and
+an index pass only when some element is a candidate).
 
 All arithmetic happens in float64 regardless of the input dtype so that
 float32 inputs do not lose bound guarantees to intermediate rounding;
@@ -42,6 +43,7 @@ from repro.core.config import check_eps
 __all__ = [
     "Q_LIMIT",
     "quantize",
+    "quantize_error",
     "dequantize",
     "quantize_scalar",
     "dequantize_scalar",
@@ -54,6 +56,30 @@ __all__ = [
 Q_LIMIT = np.int64(1) << 62
 
 
+def _float_input(values: np.ndarray) -> np.ndarray:
+    """``values`` as read by the quantizer: float32/float64 as is, else float64."""
+    v = np.asarray(values)
+    if v.dtype.type not in (np.float32, np.float64):
+        v = v.astype(np.float64)
+    return v
+
+
+def quantize_error(values: np.ndarray, eps: float) -> ValueError:
+    """The error :func:`quantize` raises once its range guard fails on ``values``.
+
+    Non-finite input takes precedence over an overflowing bin, so a caller
+    that quantizes an array piece by piece reports, for the whole array,
+    the error one call over all of it would.
+    """
+    if not np.all(np.isfinite(_float_input(values))):
+        return ValueError("input contains non-finite values; error-bounded "
+                          "quantization requires finite data")
+    return ValueError(
+        f"data at eps {eps!r} overflows the quantized integer range; "
+        "increase the error bound"
+    )
+
+
 def quantize(values: np.ndarray, eps: float) -> np.ndarray:
     """Quantize floats to integer bin numbers at absolute error bound ``eps``.
 
@@ -62,33 +88,28 @@ def quantize(values: np.ndarray, eps: float) -> np.ndarray:
     treat them as a pre-filtering concern.
     """
     check_eps(eps)
-    v = np.asarray(values)
-    if v.dtype.type not in (np.float32, np.float64):
-        v = v.astype(np.float64)
+    v = _float_input(values)
     shape = v.shape
     v = v.reshape(-1)
+    # float32 input is widened once (exactly): the two passes that read it
+    # then run NumPy's float64 loops instead of its slower mixed-type ones.
+    vf = v.astype(np.float64, copy=False)
+    limit = float(Q_LIMIT)
     # Overflow and invalid values in the float pipeline are not errors in
     # themselves: the guard below turns every such bin into a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.add(v, eps, dtype=np.float64)
+        scaled = np.add(vf, eps)
         scaled /= 2.0 * eps
         np.floor(scaled, out=scaled)
         # A non-finite input makes its bin non-finite, and for tiny eps the bin
         # ratio overflows float64 to ±inf even for finite input;
         # floor(±inf).astype(int64) is undefined garbage.  Reject before the
         # cast — mirroring quantize_scalar — so the int domain below only ever
-        # sees bins inside the |q| < Q_LIMIT band.
-        if scaled.size and (
-            not np.all(np.isfinite(scaled))
-            or np.abs(scaled).max() >= float(Q_LIMIT)
-        ):
-            if not np.all(np.isfinite(v)):
-                raise ValueError("input contains non-finite values; error-bounded "
-                                 "quantization requires finite data")
-            raise ValueError(
-                f"data at eps {eps!r} overflows the quantized integer range; "
-                "increase the error bound"
-            )
+        # sees bins inside the |q| < Q_LIMIT band.  max/min propagate NaN and
+        # every comparison with NaN is False, so the two comparisons holding
+        # prove the bins finite as well as in range, with no temporary.
+        if scaled.size and not (scaled.max() < limit and scaled.min() > -limit):
+            raise quantize_error(v, eps)
         q = scaled.astype(np.int64)
         # Formula (1) guarantees the bound in exact arithmetic; float64 rounding
         # of (v + eps) / (2 eps) can push an element one bin off by ~1 ulp of
@@ -97,12 +118,12 @@ def quantize(values: np.ndarray, eps: float) -> np.ndarray:
         # candidates pay for np.spacing.  scaled holds q exactly, so its buffer
         # is reused for err = 2*eps*q - v.
         err = np.multiply(scaled, 2.0 * eps, out=scaled)
-        err -= v
+        err -= vf
         np.abs(err, out=err)
-        idx = np.flatnonzero(err > eps)
-        if idx.size:
+        if err.size and err.max() > eps:
+            idx = np.flatnonzero(err > eps)
             qc = q[idx]
-            vc = v[idx].astype(np.float64)
+            vc = vf[idx]
             err_c = 2.0 * eps * qc.astype(np.float64) - vc
             half_ulp = 0.5 * np.spacing(np.abs(vc) + eps)
             np.subtract(qc, 1, out=qc, where=err_c > eps + half_ulp)

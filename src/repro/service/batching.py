@@ -174,8 +174,16 @@ class MicroBatcher:
         try:
             await asyncio.gather(*jobs)
         finally:
-            for key in keys:
-                self._flights.pop(key, None)
+            # Resolved flights retired themselves; this catches the ones a
+            # cancelled gather left unresolved.
+            for group in groups.values():
+                for flight in group:
+                    self._retire(flight)
+
+    def _retire(self, flight: _Flight) -> None:
+        """Stop ``flight`` taking riders, unless a newer flight owns its key."""
+        if self._flights.get(flight.key) is flight:
+            del self._flights[flight.key]
 
     def _run_group(self, flights: list[_Flight]) -> None:
         """Execute one array's flights back to back (worker thread)."""
@@ -193,6 +201,10 @@ class MicroBatcher:
         loop = flight.future.get_loop()
 
         def _set() -> None:
+            # Retire on resolution, not when the whole batch finishes: an
+            # identical request arriving after this point starts a new
+            # flight instead of riding a finished one.
+            self._retire(flight)
             if flight.future.cancelled():
                 return
             if exc is not None:

@@ -158,6 +158,8 @@ _POSITIVE_CORPUS = {
     "tnt002_pos": {"TNT002"},
     "szl101_pos": {"SZL101"},
     "szl102_pos": {"SZL102"},
+    # the NaN-slipping comparisons are also what the syntactic SZL003 flags
+    "szl102_minmax_pos": {"SZL102", "SZL003"},
     "szl103_pos": {"SZL103"},
     "lck002_pos": {"LCK002"},
     "shm_pos": {"SHM001", "SHM002"},

@@ -52,6 +52,18 @@ def test_szl102_finite_and_range_guard_is_proven_safe() -> None:
     assert range_findings(path, src) == []
 
 
+def test_szl102_nan_propagating_minmax_guard_is_proven_safe() -> None:
+    path, src = _fixture("szl102_minmax_neg")
+    assert range_findings(path, src) == []
+
+
+def test_szl102_minmax_guard_that_nan_slips_fires() -> None:
+    path, src = _fixture("szl102_minmax_pos")
+    findings = range_findings(path, src)
+    assert [f.rule for f in findings] == ["SZL102"]
+    assert "finite" in findings[0].message
+
+
 # --------------------------------------------------------------- errorprop
 
 

@@ -31,6 +31,28 @@ class TestForward:
         with pytest.raises(ValueError):
             lorenzo_forward(np.zeros(4, dtype=np.int64), layout)
 
+    def test_out_receives_the_deltas(self, rng):
+        q = rng.integers(-1000, 1000, size=100).astype(np.int64)
+        layout = BlockLayout(100, 16)
+        out = np.full(100, 7, dtype=np.int64)
+        deltas, outliers = lorenzo_forward(q, layout, out=out)
+        want, want_outliers = lorenzo_forward(q, layout)
+        assert deltas is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(outliers, want_outliers)
+
+    @pytest.mark.parametrize("bad", ["aliased", "int32", "short", "strided"])
+    def test_bad_out_rejected(self, bad):
+        q = np.arange(16, dtype=np.int64)
+        out = {
+            "aliased": q,
+            "int32": np.empty(16, dtype=np.int32),
+            "short": np.empty(8, dtype=np.int64),
+            "strided": np.empty(32, dtype=np.int64)[::2],
+        }[bad]
+        with pytest.raises(ValueError, match="out must be"):
+            lorenzo_forward(q, BlockLayout(16, 8), out=out)
+
 
 class TestRoundtrip:
     @given(

@@ -174,3 +174,40 @@ def test_sequential_submits_reuse_drain_cycle(pool):
         return first, second
 
     assert run(scenario()) == ("a", "b")
+
+
+def test_resubmit_after_flight_resolved_starts_a_new_flight(pool):
+    """A finished flight takes no riders, even while its batch still runs.
+
+    Two groups drain in one batch; the slow one holds the batch open after
+    the fast one resolved.  Resubmitting the fast key then must compute
+    again rather than count as a dedup hit on the finished flight.
+    """
+    release = threading.Event()
+    fast_calls = []
+
+    def slow():
+        release.wait(timeout=10)
+        return "slow"
+
+    def fast():
+        fast_calls.append(1)
+        return "fast"
+
+    async def scenario():
+        telemetry = Telemetry()
+        batcher = MicroBatcher(pool, window_s=0.005, telemetry=telemetry)
+        slow_task = asyncio.ensure_future(batcher.submit(("a", "op"), "a", slow))
+        first = await batcher.submit(("b", "op"), "b", fast)
+        assert not slow_task.done()
+        second_task = asyncio.ensure_future(batcher.submit(("b", "op"), "b", fast))
+        await asyncio.sleep(0)  # the resubmission registers its flight
+        release.set()
+        results = (first, await second_task, await slow_task)
+        await batcher.flush()
+        return results, telemetry
+
+    results, telemetry = run(scenario())
+    assert results == ("fast", "fast", "slow")
+    assert len(fast_calls) == 2
+    assert telemetry.counter("batch_dedup_hits") == 0
