@@ -7,7 +7,7 @@ Hurricane-style field and compute global statistics two ways:
 
 * traditional: each rank decompresses everything, reduces raw moments;
 * SZOps: each rank extracts quantized partial sums from its *compressed*
-  stream (constant blocks in closed form) and reduces only three scalars.
+  stream (constant blocks in closed form) and reduces only five exact integers.
 
 Run:  python examples/mpi_reduction.py
 """
@@ -56,7 +56,7 @@ def main() -> None:
     print(f"traditional allreduce: mean={trad['mean']:+.5f} std={trad['std']:.5f} "
           f"[{1e3 * t_trad:.1f} ms, every rank decompresses {field.nbytes / N_RANKS / 1e6:.2f} MB]")
     print(f"compressed  allreduce: mean={comp['mean']:+.5f} std={comp['std']:.5f} "
-          f"[{1e3 * t_comp:.1f} ms, ranks exchange 3 scalars each]")
+          f"[{1e3 * t_comp:.1f} ms, 5 exact ints per rank]")
     print(f"agreement: |d_mean|={abs(trad['mean'] - comp['mean']):.2e} "
           f"|d_std|={abs(trad['std'] - comp['std']):.2e}")
 

@@ -231,6 +231,35 @@ _FLOAT_PRODUCERS = frozenset(
 
 _COMPARE_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
+_ORDERED_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _nan_rejecting_compares(fn: ast.AST) -> set[int]:
+    """Ids of comparisons a NaN makes the enclosing guard *fail*.
+
+    In ``not (a < L)`` and ``not (a < L and b > -L)`` a NaN operand makes
+    its ordered comparison False, the conjunction False and the negation
+    True, so the guard fires: the NaN-propagating ``max``/``min`` range
+    guard that SZL102 proves.  A disjunction under the ``not`` is not
+    included — another True disjunct would let the NaN through.
+    """
+    safe: set[int] = set()
+    for node in ast.walk(fn):
+        if not (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)):
+            continue
+        inner = node.operand
+        terms = (
+            inner.values
+            if isinstance(inner, ast.BoolOp) and isinstance(inner.op, ast.And)
+            else [inner]
+        )
+        for term in terms:
+            if isinstance(term, ast.Compare) and all(
+                isinstance(op, _ORDERED_OPS) for op in term.ops
+            ):
+                safe.add(id(term))
+    return safe
+
 
 def _produces_float(node: ast.AST) -> bool:
     for sub in ast.walk(node):
@@ -273,8 +302,9 @@ def _check_szl003(ctx: RuleContext) -> list[Finding]:
                 name is None or name not in guarded
             )
 
+        nan_rejecting = _nan_rejecting_compares(fn)
         for node in ast.walk(fn):
-            if not isinstance(node, ast.Compare):
+            if not isinstance(node, ast.Compare) or id(node) in nan_rejecting:
                 continue
             if not all(isinstance(op, _COMPARE_OPS) for op in node.ops):
                 continue

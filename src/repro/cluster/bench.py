@@ -8,10 +8,9 @@ grid cheap — then a closed-loop fleet of router-holding client threads
 issues a mixed PUT / distributed-REDUCE workload against sharded
 arrays.
 
-Identity is checked on every reduction reply: mean/minimum/maximum
-must equal the single-node :class:`~repro.runtime.lazy.LazyStream`
-result **bit for bit** (the PREDUCE algebra guarantees it), and
-variance must agree to float64 rounding.  ``identity_failures`` in the
+Identity is checked on every reduction reply: mean/minimum/maximum/
+variance must equal the single-node :class:`~repro.runtime.lazy.LazyStream`
+result **bit for bit** (the exact PREDUCE moments guarantee it).  ``identity_failures`` in the
 result payload counts violations; the CI cluster job asserts it is
 zero over a 200-request smoke.
 
@@ -39,14 +38,9 @@ from repro.service.server import ThreadedServer
 __all__ = ["local_cluster", "run_cluster_bench"]
 
 _BLOCK_SIZE = 64
-#: Reductions the mixed workload cycles through, with their tolerance:
-#: 0.0 means the reply must be bit-identical to the single-node value.
-_CHECKED_REDUCTIONS: tuple[tuple[str, float], ...] = (
-    ("mean", 0.0),
-    ("minimum", 0.0),
-    ("maximum", 0.0),
-    ("variance", 1e-9),
-)
+#: Reductions the mixed workload cycles through; every reply must be
+#: bit-identical to the single-node value.
+_CHECKED_REDUCTIONS = ("mean", "minimum", "maximum", "variance")
 
 
 @contextmanager
@@ -124,7 +118,7 @@ def run_cluster_bench(
         c = codec.compress(data, eps)
         name = f"bench-{i}"
         arrays.append((name, c))
-        for reduction, _tol in _CHECKED_REDUCTIONS:
+        for reduction in _CHECKED_REDUCTIONS:
             expected[(name, reduction)] = float(getattr(LazyStream(c), reduction)())
 
     with local_cluster(n_nodes, replicas=replicas) as (router, _handles):
@@ -143,7 +137,7 @@ def run_cluster_bench(
                 local_rng = np.random.default_rng(seed + idx + 1)
                 for r in range(requests_per_client):
                     name, _c = arrays[(idx + r) % len(arrays)]
-                    reduction, tol = _CHECKED_REDUCTIONS[r % len(_CHECKED_REDUCTIONS)]
+                    reduction = _CHECKED_REDUCTIONS[r % len(_CHECKED_REDUCTIONS)]
                     if r % 10 == 9:
                         # Occasional write keeps PUT in the mix.
                         extra = local_rng.normal(scale=5e-3, size=2048).cumsum().astype(np.float32)  # szops: ignore[SZL002] -- synthetic float32 input field; the cast is the I/O boundary
@@ -154,13 +148,7 @@ def run_cluster_bench(
                     t0 = time.perf_counter()
                     value = router.reduce(name, reduction)
                     latencies[idx].append(time.perf_counter() - t0)
-                    want = expected[(name, reduction)]
-                    ok = (
-                        value == want
-                        if tol == 0.0
-                        else abs(value - want) <= tol * max(abs(want), 1.0)
-                    )
-                    if not ok:
+                    if value != expected[(name, reduction)]:
                         with lock:
                             identity_failures[0] += 1
             except Exception as exc:  # collected, not raised: the bench reports

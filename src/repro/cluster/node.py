@@ -8,9 +8,9 @@ three additions layered on the ``_dispatch_extra`` hook:
   answers with the map it now holds, so install-and-confirm is one
   round trip and pushing an old map is a harmless no-op.
 * **PREDUCE** — the distributed-reduction workhorse: fold the request's
-  pointwise prefix through the PR-1 fusion runtime and return the
-  *quantized* moment tuple ``(sum_q, sumsq_q, min_q, max_q, n)`` of
-  whatever shard of the array this node stores.  No ``2*eps`` scaling
+  pointwise prefix through the lazy fusion runtime and return the exact
+  *quantized* moments ``(Σq, Σq², min q, max q, n)`` of whatever shard
+  of the array this node stores.  No ``2*eps`` scaling
   happens here; the router applies it once after combining, exactly as
   ``runtime.lazy`` would have, which is what keeps distributed results
   bit-identical to single-node ones.
@@ -143,8 +143,7 @@ class ClusterNode(ServiceServer):
             chain = LazyStream(entry.container)
             for name, scalar in (s.as_pair() for s in request.steps):
                 chain = chain.apply(name, scalar)
-            s, s2, lo, hi, count = chain.quantized_moments()
-            return Moments(s, s2, lo, hi, count, entry.container.eps)
+            return Moments(chain.quantized_moments(), entry.container.eps)
 
         loop = asyncio.get_running_loop()
         moments = await loop.run_in_executor(self.pool, compute)

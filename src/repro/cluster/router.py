@@ -15,13 +15,13 @@ and a connection per node, and presents the single-node client surface
   replica list; chunked arrays are reassembled byte-exactly by
   :func:`~repro.cluster.chunking.merge_containers`.
 * **REDUCE** never moves array bytes: every chunk's owner answers a
-  PREDUCE with quantized moments, the router tree-combines them with
-  the exact :func:`repro.parallel.collectives.add_moments` algebra (in
-  canonical chunk order), and applies the single final ``2 * eps``
-  scaling.  Because quantized sums are exact float64 integers, the
-  combined mean/min/max are **bit-identical** to a single-node REDUCE
-  of the unsplit array, and variance/std are bit-identical across any
-  cluster size or placement (see docs/CLUSTER.md for the algebra).
+  PREDUCE with exact quantized moments
+  (:class:`~repro.core.moments.QuantizedMoments`), the router adds
+  them as integers and applies the single final ``2 * eps`` scaling.
+  Because the sums are exact, every reduction — mean, min, max,
+  variance, std — is **bit-identical** to a single-node REDUCE of the
+  unsplit array, for any cluster size or placement (see docs/CLUSTER.md
+  for the algebra).
 * **Epoch fencing** — every data RPC carries the router's map epoch; a
   ``RETRY`` from a node triggers reconciliation (adopt the newer map,
   or push ours) and exactly one retry against freshly computed owners.
@@ -37,7 +37,6 @@ once per attempt.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
@@ -45,7 +44,7 @@ from typing import Any, Callable, TypeVar
 from repro.cluster.chunking import chunk_key, merge_containers, split_container
 from repro.cluster.hashring import NodeInfo, ShardMap
 from repro.core.format import SZOpsCompressed
-from repro.parallel.collectives import add_moments
+from repro.core.moments import QuantizedMoments
 from repro.service.client import (
     ConnectionLost,
     RemoteError,
@@ -96,15 +95,18 @@ class Manifest:
         return [chunk_key(self.name, i) for i in range(self.n_chunks)]
 
 
-def combine_moments(partials: list[Moments]) -> Moments:
-    """Tree-combine per-chunk moments into whole-array moments.
+def _check_reduction(reduction: str) -> None:
+    if reduction not in CLUSTER_REDUCTIONS:
+        raise ClusterError(
+            f"unknown reduction {reduction!r}; valid: {', '.join(CLUSTER_REDUCTIONS)}"
+        )
 
-    Uses :func:`repro.parallel.collectives.add_moments` for the
-    ``(sum, sum_sq, count)`` triple.  The combine is a balanced binary
-    tree over the canonical chunk order; because every addend is an
-    exact float64 integer the association cannot change the result —
-    the tree shape is documentation of intent (and matches the
-    in-process collectives), not a numerical requirement.
+
+def combine_moments(partials: list[Moments]) -> Moments:
+    """Add per-chunk moments into whole-array moments (exact integers).
+
+    Chunks of one array share its error bound; partials at different
+    bounds are refused rather than mixed.
     """
     if not partials:
         raise ClusterError("cannot combine zero moment partials")
@@ -115,53 +117,19 @@ def combine_moments(partials: list[Moments]) -> Moments:
                 f"chunks disagree on eps ({m.eps!r} != {eps!r}); "
                 "refusing to combine moments across error bounds"
             )
-    level = list(partials)
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            a, b = level[i], level[i + 1]
-            s, s2, n = add_moments(
-                (a.sum_q, a.sumsq_q, a.count), (b.sum_q, b.sumsq_q, b.count)
-            )
-            nxt.append(
-                Moments(
-                    s, s2, min(a.min_q, b.min_q), max(a.max_q, b.max_q), n, eps
-                )
-            )
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    return Moments(QuantizedMoments.combine(m.moments for m in partials), eps)
 
 
 def finish_reduction(reduction: str, m: Moments) -> float:
     """Scale combined quantized moments into the requested scalar.
 
-    Mirrors :mod:`repro.runtime.lazy` exactly: ``mean`` is
-    ``2*eps * (sum_q / n)`` (the same expression, on the same exact
-    ``sum_q``, hence bit-identical), minimum/maximum scale the integer
-    extremes, and variance uses the moment identity
-    ``ssd = sumsq_q - mu_q * sum_q`` — deterministic and placement-
-    invariant, within float64 rounding (~1e-12 relative) of the
-    single-node two-pass formula.
+    The same :meth:`QuantizedMoments.finish` every single-node reduction
+    runs, on the same exact sums, hence bit-identical.
     """
-    if m.count <= 0:
+    _check_reduction(reduction)
+    if m.moments.n <= 0:
         raise ClusterError("cannot reduce an empty array")
-    scale = 2.0 * m.eps
-    if reduction == "mean":
-        return scale * (m.sum_q / m.count)
-    if reduction == "minimum":
-        return scale * m.min_q
-    if reduction == "maximum":
-        return scale * m.max_q
-    if reduction in ("variance", "std"):
-        mu_q = m.sum_q / m.count
-        ssd = max(m.sumsq_q - mu_q * m.sum_q, 0.0)
-        var = scale * scale * (ssd / m.count)
-        return var if reduction == "variance" else math.sqrt(var)
-    raise ClusterError(
-        f"unknown reduction {reduction!r}; valid: {', '.join(CLUSTER_REDUCTIONS)}"
-    )
+    return m.moments.finish(reduction, m.eps)
 
 
 class ClusterClient:
@@ -472,11 +440,7 @@ class ClusterClient:
 
     def reduce(self, name: str, reduction: str, chain: Any = ()) -> float:
         """Distributed reduction (see module docstring for exactness)."""
-        if reduction not in CLUSTER_REDUCTIONS:
-            raise ClusterError(
-                f"unknown reduction {reduction!r}; valid: "
-                f"{', '.join(CLUSTER_REDUCTIONS)}"
-            )
+        _check_reduction(reduction)  # before any round trip
         return finish_reduction(reduction, self.preduce(name, chain))
 
     # ------------------------------------------------------------------ observability

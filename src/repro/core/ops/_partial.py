@@ -11,6 +11,7 @@ is the "excluding constant block computations" optimization of Table V.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from repro.core.encode import decode_stored_deltas, encode_bins, encode_block_se
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
 from repro.core.lorenzo import lorenzo_inverse
+from repro.core.moments import QuantizedMoments
 from repro.core.quantize import Q_LIMIT
 
 __all__ = [
@@ -51,6 +53,16 @@ class StoredBlocks:
     stored_mask: np.ndarray
     const_outliers: np.ndarray
     const_lens: np.ndarray
+
+    @cached_property
+    def moments(self) -> QuantizedMoments:
+        """Exact moments of this view, computed once per decoded view.
+
+        The decoded-block cache hands the same view to every operation on
+        a stream, so the first reduction pays for the sums and every later
+        one (min, max, mean, variance, PREDUCE) reads them back.
+        """
+        return QuantizedMoments.of(self)
 
     @property
     def n_stored_elements(self) -> int:
@@ -130,11 +142,10 @@ def requantize(q: np.ndarray, factor: float) -> np.ndarray:
     """
     with np.errstate(over="ignore"):  # the guard below reports the overflow
         scaled = np.rint(np.asarray(q, dtype=np.float64) * factor)
-    if scaled.size and (
-        # isfinite runs first, so the >= comparison never sees NaN/inf.
-        not np.all(np.isfinite(scaled))
-        or np.abs(scaled).max() >= float(Q_LIMIT)  # szops: ignore[SZL003]
-    ):
+    limit = float(Q_LIMIT)
+    # max/min propagate NaN and NaN fails both comparisons, so this one
+    # guard rejects NaN, +-inf and every finite |x| >= Q_LIMIT.
+    if scaled.size and not (scaled.max() < limit and scaled.min() > -limit):
         raise OperationError(
             "scalar multiplication overflows the quantized integer range; "
             "use a larger error bound or a smaller scalar"

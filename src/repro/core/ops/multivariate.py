@@ -9,9 +9,12 @@ the same partial-decompression machinery as the core operations:
   quantized integer domain (``q_c = q_a +- q_b``) and re-encodes; pairs of
   constant blocks are combined in O(1) without touching any payload.
 * :func:`dot` / :func:`l2_distance` / :func:`cosine_similarity` —
-  computation-as-output measures over two compressed arrays, accumulated
-  in the quantized domain with constant x constant block pairs in closed
-  form.
+  computation-as-output measures over two compressed arrays, from exact
+  integer sums of squares in the quantized domain
+  (:class:`~repro.core.moments.QuantizedMoments`): ``Σ(q_a - q_b)²``
+  for the distance, and ``Σq_a·q_b = (Σ(q_a + q_b)² - Σq_a² - Σq_b²) / 2``
+  for the inner product, with ``Σq²`` of each operand memoised on its
+  decoded view.
 
 Error semantics: with both inputs decoding to ``2*eps*q``, the combined
 stream decodes to exactly ``x_hat + y_hat`` (or the difference) — no new
@@ -28,6 +31,7 @@ import numpy as np
 from repro.core.encode import encode_bins, encode_block_sections
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
+from repro.core.moments import QuantizedMoments
 from repro.core.ops._partial import (
     StoredBlocks,
     ensure_quantized_range,
@@ -145,58 +149,38 @@ def subtract(a: SZOpsCompressed, b: SZOpsCompressed) -> SZOpsCompressed:
     return _combine(a, b, -1)
 
 
-def _pair_moments(a: SZOpsCompressed, b: SZOpsCompressed):
-    """(sum qa*qb, sum qa^2, sum qb^2) with const x const pairs closed-form."""
+def _combined_sq_sum(a: SZOpsCompressed, b: SZOpsCompressed, sign: int) -> int:
+    """``Σ(q_a + sign·q_b)²`` exactly (``|q_a ± q_b| < 2^63`` fits int64)."""
     _require_compatible(a, b)
     lens = a.layout.lengths()
-    blocks_a = stored_quantized(a)
-    blocks_b = stored_quantized(b)
-    both_const = ~blocks_a.stored_mask & ~blocks_b.stored_mask
+    qa = _full_quantized(stored_quantized(a), lens)
+    qb = _full_quantized(stored_quantized(b), lens)
+    return QuantizedMoments.of_values(qa + qb if sign > 0 else qa - qb).s2
 
-    s_ab = s_aa = s_bb = 0.0
-    if both_const.any():
-        const_a = np.zeros(a.n_blocks, dtype=np.float64)
-        const_b = np.zeros(a.n_blocks, dtype=np.float64)
-        const_a[~blocks_a.stored_mask] = blocks_a.const_outliers
-        const_b[~blocks_b.stored_mask] = blocks_b.const_outliers
-        w = lens[both_const].astype(np.float64)
-        ca = const_a[both_const]
-        cb = const_b[both_const]
-        s_ab += float((w * ca * cb).sum())
-        s_aa += float((w * ca * ca).sum())
-        s_bb += float((w * cb * cb).sum())
 
-    any_stored = ~both_const
-    if any_stored.any():
-        sel_elems = np.repeat(any_stored, lens)
-        qa = _full_quantized(blocks_a, lens)[sel_elems].astype(np.float64)
-        qb = _full_quantized(blocks_b, lens)[sel_elems].astype(np.float64)
-        s_ab += float(np.dot(qa, qb))
-        s_aa += float(np.dot(qa, qa))
-        s_bb += float(np.dot(qb, qb))
-    return s_ab, s_aa, s_bb
+def _cross_sum(a: SZOpsCompressed, b: SZOpsCompressed) -> tuple[int, int, int]:
+    """``(Σq_a·q_b, Σq_a², Σq_b²)`` as exact ints, via ``(a+b)² = a² + 2ab + b²``."""
+    s_plus = _combined_sq_sum(a, b, +1)
+    s_aa = stored_quantized(a).moments.s2
+    s_bb = stored_quantized(b).moments.s2
+    return (s_plus - s_aa - s_bb) // 2, s_aa, s_bb
 
 
 def dot(a: SZOpsCompressed, b: SZOpsCompressed) -> float:
     """Inner product of the represented arrays (future-work measure)."""
-    s_ab, _, _ = _pair_moments(a, b)
+    s_ab, _, _ = _cross_sum(a, b)
     return (2.0 * a.eps) * (2.0 * b.eps) * s_ab
 
 
 def l2_distance(a: SZOpsCompressed, b: SZOpsCompressed) -> float:
     """Euclidean distance between the represented arrays."""
-    s_ab, s_aa, s_bb = _pair_moments(a, b)
-    # With eps_a == eps_b (checked), ||x-y||^2 = (2eps)^2 (s_aa - 2 s_ab + s_bb).
-    sq = max((2.0 * a.eps) ** 2 * (s_aa - 2.0 * s_ab + s_bb), 0.0)
-    return math.sqrt(sq)
+    # With eps_a == eps_b (checked), ||x-y|| = 2eps * sqrt(Σ(q_a - q_b)^2).
+    return 2.0 * a.eps * math.sqrt(_combined_sq_sum(a, b, -1))
 
 
 def cosine_similarity(a: SZOpsCompressed, b: SZOpsCompressed) -> float:
     """Cosine similarity of the represented arrays."""
-    s_ab, s_aa, s_bb = _pair_moments(a, b)
-    denom = math.sqrt(s_aa) * math.sqrt(s_bb)
-    # NaN is impossible by construction: s_aa/s_bb are sums of squares of
-    # finite int64 bins accumulated in float64, so both are finite and >= 0.
-    if denom == 0.0:  # szops: ignore[SZL003]
+    s_ab, s_aa, s_bb = _cross_sum(a, b)
+    if not (s_aa and s_bb):
         raise OperationError("cosine similarity undefined for a zero array")
-    return s_ab / denom
+    return s_ab / math.sqrt(s_aa * s_bb)

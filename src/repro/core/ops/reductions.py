@@ -1,30 +1,29 @@
 """Univariate reductions: mean, variance, standard deviation (Section V-B).
 
-All three run in the *quantized integer domain*: the payload is decoded to
-quantized values (BF^-1, Lorenzo^-1) for non-constant blocks only, block
-partial sums are accumulated, and the final scalar is scaled by ``2*eps``
-(or its square) once at the end.  Constant blocks contribute closed-form
-terms computed from the outlier plane — ``O * len`` to the sum and
-``len * (O - mu)^2`` to the squared deviations — so datasets with many
-constant blocks reduce faster, which is the effect Table VI / Figure 6
-document.
+All of them run in the *quantized integer domain*: the payload is decoded
+to quantized values (BF^-1, Lorenzo^-1) for non-constant blocks only, and
+the exact integer moments of :class:`~repro.core.moments.QuantizedMoments`
+(``Σq``, ``Σq²``, min, max, count) are scaled by ``2*eps`` (or its square)
+once at the end.  Constant blocks contribute closed-form terms computed from
+the outlier plane — ``O * len`` to the sum and ``O² * len`` to the sum of
+squares — so datasets with many constant blocks reduce faster, which is the
+effect Table VI / Figure 6 document.
 
-Because the reductions operate on exactly the quantized values the stream
-stores, their results equal the same statistics computed on the *fully
-decompressed* array (up to float64 accumulation order), and are therefore
-within the usual error-propagation distance of the raw data's statistics:
-``|mean_c - mean_raw| <= eps`` and ``|std_c - std_raw| <= 2*eps`` style
-bounds follow directly from the pointwise bound.
+The sums are exact integers and each scalar is rounded once, so the results
+are the statistics of the *fully decompressed* array ``2*eps*q`` computed
+exactly, and therefore within the usual error-propagation distance of the
+raw data's statistics: ``|mean_c - mean_raw| <= eps`` and
+``|std_c - std_raw| <= 2*eps`` style bounds follow directly from the
+pointwise bound.  The moments are memoised on the decoded view, so a second
+reduction of the same stream costs only the final scaling.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.format import SZOpsCompressed
-from repro.core.ops._partial import StoredBlocks, stored_quantized
+from repro.core.ops._partial import stored_quantized
 
 __all__ = [
     "mean",
@@ -51,57 +50,26 @@ ERROR_PROPAGATION = {
 }
 
 
-def _quantized_sum(blocks: StoredBlocks) -> float:
-    """Sum of all quantized values, constant blocks in closed form."""
-    total = 0.0
-    if blocks.q.size:
-        total += float(blocks.q.sum(dtype=np.float64))
-    if blocks.const_outliers.size:
-        total += float(
-            (blocks.const_outliers.astype(np.float64) * blocks.const_lens).sum()
-        )
-    return total
-
-
-def _quantized_sq_dev(blocks: StoredBlocks, mu_q: float) -> float:
-    """Sum of squared deviations from ``mu_q`` in the quantized domain."""
-    total = 0.0
-    if blocks.q.size:
-        dev = blocks.q.astype(np.float64) - mu_q
-        total += float(np.dot(dev, dev))
-    if blocks.const_outliers.size:
-        dev_c = blocks.const_outliers.astype(np.float64) - mu_q
-        total += float((blocks.const_lens * dev_c * dev_c).sum())
-    return total
+def _finish(c: SZOpsCompressed, reduction: str, ddof: int = 0) -> float:
+    return stored_quantized(c).moments.finish(reduction, c.eps, ddof)
 
 
 def mean(c: SZOpsCompressed) -> float:
-    """Mean of the represented array, computed without full decompression.
-
-    Equals ``decompress(c).mean()`` up to float64 summation order.
-    """
-    blocks = stored_quantized(c)
-    n = c.n_elements
-    return 2.0 * c.eps * (_quantized_sum(blocks) / n)
+    """Mean of the represented array, computed without full decompression."""
+    return _finish(c, "mean")
 
 
 def variance(c: SZOpsCompressed, ddof: int = 0) -> float:
-    """Variance of the represented array (two-pass, quantized domain).
+    """Variance of the represented array, exact in the quantized domain.
 
     ``ddof`` matches NumPy's convention (0 = population variance).
     """
-    blocks = stored_quantized(c)
-    n = c.n_elements
-    if n - ddof <= 0:
-        raise ValueError(f"variance needs n - ddof > 0, got n={n}, ddof={ddof}")
-    mu_q = _quantized_sum(blocks) / n
-    ssd = _quantized_sq_dev(blocks, mu_q)
-    return (2.0 * c.eps) ** 2 * (ssd / (n - ddof))
+    return _finish(c, "variance", ddof)
 
 
 def std(c: SZOpsCompressed, ddof: int = 0) -> float:
     """Standard deviation: the square root of :func:`variance` (Section V-B.3)."""
-    return math.sqrt(variance(c, ddof=ddof))
+    return _finish(c, "std", ddof)
 
 
 def block_means(c: SZOpsCompressed) -> np.ndarray:
@@ -131,62 +99,21 @@ def block_means(c: SZOpsCompressed) -> np.ndarray:
 
 
 def summary_statistics(c: SZOpsCompressed, ddof: int = 0) -> dict[str, float]:
-    """Mean, variance and standard deviation in one partial decode.
-
-    Decodes the stored blocks once and derives all three reductions, which
-    is cheaper than calling the three functions separately when all values
-    are needed (e.g. the in-situ statistics example).
-    """
-    blocks = stored_quantized(c)
-    n = c.n_elements
-    mu_q = _quantized_sum(blocks) / n
-    ssd = _quantized_sq_dev(blocks, mu_q)
-    var = (2.0 * c.eps) ** 2 * (ssd / (n - ddof))
-    return {
-        "mean": 2.0 * c.eps * mu_q,
-        "variance": var,
-        "std": math.sqrt(var),
-    }
+    """Mean, variance and standard deviation from one set of moments."""
+    return stored_quantized(c).moments.summary(c.eps, ddof)
 
 
 def minimum(c: SZOpsCompressed) -> float:
     """Minimum of the represented array (Section III names max/min as
     computation-as-output examples; same partial-decode machinery)."""
-    blocks = stored_quantized(c)
-    candidates = []
-    if blocks.q.size:
-        candidates.append(int(blocks.q.min()))
-    if blocks.const_outliers.size:
-        candidates.append(int(blocks.const_outliers.min()))
-    if not candidates:
-        raise ValueError("cannot take the minimum of an empty container")
-    return 2.0 * c.eps * min(candidates)
+    return _finish(c, "minimum")
 
 
 def maximum(c: SZOpsCompressed) -> float:
     """Maximum of the represented array (see :func:`minimum`)."""
-    blocks = stored_quantized(c)
-    candidates = []
-    if blocks.q.size:
-        candidates.append(int(blocks.q.max()))
-    if blocks.const_outliers.size:
-        candidates.append(int(blocks.const_outliers.max()))
-    if not candidates:
-        raise ValueError("cannot take the maximum of an empty container")
-    return 2.0 * c.eps * max(candidates)
+    return _finish(c, "maximum")
 
 
 def value_range(c: SZOpsCompressed) -> float:
     """``max - min`` of the represented array in one partial decode."""
-    blocks = stored_quantized(c)
-    lo: list[int] = []
-    hi: list[int] = []
-    if blocks.q.size:
-        lo.append(int(blocks.q.min()))
-        hi.append(int(blocks.q.max()))
-    if blocks.const_outliers.size:
-        lo.append(int(blocks.const_outliers.min()))
-        hi.append(int(blocks.const_outliers.max()))
-    if not lo:
-        raise ValueError("cannot take the range of an empty container")
-    return 2.0 * c.eps * (max(hi) - min(lo))
+    return _finish(c, "range")

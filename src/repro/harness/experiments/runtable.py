@@ -320,7 +320,7 @@ def _cluster_scale_table(
             "Sharded-cluster scaling grid: nodes x replicas x concurrent "
             "clients driving mixed PUT/distributed-REDUCE load, every "
             "reduction checked for identity with the single-node value "
-            "(mean/min/max bit-identical, variance to float64 rounding)."
+            "(mean/min/max/variance bit-identical)."
         ),
         options={
             "requests_per_client": requests_per_client,

@@ -45,7 +45,6 @@ __all__ = [
     "block_chunks",
     "SimComm",
     "run_spmd",
-    "local_quantized_moments",
     "compressed_mean_allreduce",
     "compressed_stats_allreduce",
     "traditional_stats_allreduce",
@@ -54,7 +53,6 @@ __all__ = [
 _LAZY = {
     "SimComm": "repro.parallel.simmpi",
     "run_spmd": "repro.parallel.simmpi",
-    "local_quantized_moments": "repro.parallel.collectives",
     "compressed_mean_allreduce": "repro.parallel.collectives",
     "compressed_stats_allreduce": "repro.parallel.collectives",
     "traditional_stats_allreduce": "repro.parallel.collectives",

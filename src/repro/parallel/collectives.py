@@ -3,91 +3,83 @@
 The paper's motivating MPI use case (Section I, ref [18]): processes hold
 error-bounded *compressed* data and need global statistics.  The
 traditional path fully decompresses every stream before reducing.  With
-SZOps, each rank extracts its *quantized partial sums* directly from the
-compressed stream (constant blocks in closed form) and only the tiny
-(sum, sum-of-squared-deviation proxies, count) triples travel through the
-collective — no rank ever materializes a full decompressed array.
+SZOps, each rank reads its exact
+:class:`~repro.core.moments.QuantizedMoments` directly from the
+compressed stream (constant blocks in closed form) and only those few
+integers travel through the collective — no rank ever materializes a full
+decompressed array.
 
-Both paths are provided so the MPI example and its benchmark can compare
-them; both produce identical statistics up to float64 summation order
-because the compressed-domain reductions are exact over the represented
-values (Section V-B).
+Ranks sharing an error bound add their moments exactly, so the global
+statistics are bit-identical to a single-node reduction of the
+concatenated array.  Ranks may also carry different bounds: each bound's
+moments are then scaled to value units as exact rationals and rounded
+once.  Both paths are provided so the MPI example and its benchmark can
+compare them.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from repro.core.compressor import SZOps
 from repro.core.format import SZOpsCompressed
 from repro.core.ops._partial import stored_quantized
+from repro.core.moments import QuantizedMoments
 from repro.parallel.simmpi import SimComm
 
 __all__ = [
-    "local_quantized_moments",
-    "add_moments",
     "compressed_mean_allreduce",
     "compressed_stats_allreduce",
     "traditional_stats_allreduce",
 ]
 
-
-def local_quantized_moments(c: SZOpsCompressed) -> tuple[float, float, int]:
-    """(sum, sum of squares, count) of the represented values.
-
-    Computed in the quantized integer domain with constant blocks in closed
-    form; the value-domain moments are recovered by scaling with ``2*eps``.
-    """
-    blocks = stored_quantized(c)
-    s = 0.0
-    s2 = 0.0
-    if blocks.q.size:
-        qf = blocks.q.astype(np.float64)
-        s += float(qf.sum())
-        s2 += float(np.dot(qf, qf))
-    if blocks.const_outliers.size:
-        of = blocks.const_outliers.astype(np.float64)
-        s += float((of * blocks.const_lens).sum())
-        s2 += float((of * of * blocks.const_lens).sum())
-    scale = 2.0 * c.eps
-    return scale * s, scale * scale * s2, c.n_elements
+#: Moments per error bound: what one rank contributes and what the
+#: allreduce accumulates.
+EpsMoments = dict[float, QuantizedMoments]
 
 
-def _add_moments(a: tuple[float, float, int], b: tuple[float, float, int]):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+def _local_moments(c: SZOpsCompressed) -> EpsMoments:
+    return {c.eps: stored_quantized(c).moments}
 
 
-#: Public name for the moment-combining step, used by ``repro.cluster``'s
-#: router to tree-combine per-shard PREDUCE partials with exactly the
-#: algebra the in-process collectives use.
-add_moments = _add_moments
+def _merge(a: EpsMoments, b: EpsMoments) -> EpsMoments:
+    out = dict(a)
+    for eps, m in b.items():
+        out[eps] = out[eps] + m if eps in out else m
+    return out
+
+
+def _global_stats(groups: EpsMoments) -> dict[str, float]:
+    if len(groups) == 1:
+        ((eps, m),) = groups.items()
+        return {**m.summary(eps), "count": m.n}
+    s1 = sum(Fraction(2.0 * eps) * m.s1 for eps, m in groups.items())
+    s2 = sum(Fraction(2.0 * eps) ** 2 * m.s2 for eps, m in groups.items())
+    n = sum(m.n for m in groups.values())
+    var = float((n * s2 - s1 * s1) / (n * n))
+    return {"mean": float(s1 / n), "variance": var, "std": math.sqrt(var), "count": n}
 
 
 def compressed_mean_allreduce(comm: SimComm, c: SZOpsCompressed) -> float:
     """Global mean across ranks, no rank decompressing anything fully."""
-    s, _s2, n = comm.allreduce(local_quantized_moments(c), _add_moments)
-    return s / n
+    return compressed_stats_allreduce(comm, c)["mean"]
 
 
 def compressed_stats_allreduce(comm: SimComm, c: SZOpsCompressed) -> dict[str, float]:
-    """Global mean/variance/std across ranks from compressed streams.
-
-    Each rank contributes exact value-domain moments (the ranks may carry
-    different error bounds; the moments are already in value units).
-    """
-    s, s2, n = comm.allreduce(local_quantized_moments(c), _add_moments)
-    mean = s / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return {"mean": mean, "variance": var, "std": float(np.sqrt(var)), "count": n}
+    """Global mean/variance/std (population) across ranks from compressed streams."""
+    return _global_stats(comm.allreduce(_local_moments(c), _merge))
 
 
 def traditional_stats_allreduce(
     comm: SimComm, codec: SZOps, c: SZOpsCompressed
 ) -> dict[str, float]:
     """The baseline path: every rank fully decompresses before reducing."""
-    data = codec.decompress(c).astype(np.float64)
-    local = (float(data.sum()), float(np.dot(data.ravel(), data.ravel())), data.size)
-    s, s2, n = comm.allreduce(local, _add_moments)
+    data = codec.decompress(c).astype(np.float64).ravel()
+    local = (float(data.sum()), float(np.dot(data, data)), data.size)
+    s, s2, n = comm.allreduce(local, lambda a, b: tuple(x + y for x, y in zip(a, b)))
     mean = s / n
     var = max(s2 / n - mean * mean, 0.0)
     return {"mean": mean, "variance": var, "std": float(np.sqrt(var)), "count": n}

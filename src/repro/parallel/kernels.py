@@ -22,13 +22,12 @@ import numpy as np
 
 from repro.bitstream import BitpackKernel, resolve_kernel
 from repro.core.encode import decode_block_sections, encode_block_sections
+from repro.core.moments import QuantizedMoments
 
 __all__ = [
     "encode_chunk",
     "decode_chunk",
-    "reduce_sum_chunk",
-    "reduce_sq_dev_chunk",
-    "reduce_extreme_chunk",
+    "reduce_moments_chunk",
     "compress_field_chunk",
 ]
 
@@ -104,21 +103,11 @@ def decode_chunk(arrays: dict[str, np.ndarray], chunk: dict[str, Any]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def reduce_sum_chunk(arrays: dict[str, np.ndarray], chunk: dict[str, Any]) -> float:
-    """Partial sum of ``q[lo:hi]`` in float64 (exact for |q| < 2^53)."""
-    return float(arrays["q"][chunk["lo"] : chunk["hi"]].sum(dtype=np.float64))
-
-
-def reduce_sq_dev_chunk(arrays: dict[str, np.ndarray], chunk: dict[str, Any]) -> float:
-    """Partial sum of squared deviations from ``chunk['mu_q']``."""
-    dev = arrays["q"][chunk["lo"] : chunk["hi"]].astype(np.float64) - chunk["mu_q"]
-    return float(np.dot(dev, dev))
-
-
-def reduce_extreme_chunk(arrays: dict[str, np.ndarray], chunk: dict[str, Any]) -> int:
-    """Partial min or max (``chunk['kind']``) of ``q[lo:hi]``."""
-    q = arrays["q"][chunk["lo"] : chunk["hi"]]
-    return int(q.min() if chunk["kind"] == "min" else q.max())
+def reduce_moments_chunk(
+    arrays: dict[str, np.ndarray], chunk: dict[str, Any]
+) -> QuantizedMoments:
+    """Exact moments of ``q[lo:hi]`` (combined by the caller)."""
+    return QuantizedMoments.of_values(arrays["q"][chunk["lo"] : chunk["hi"]])
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime.lazy import IntAffine, LazyStream, Requantize, lazy
 from repro.runtime.reduce import (
-    chunked_quantized_sq_dev,
-    chunked_quantized_sum,
+    chunked_moments,
     parallel_maximum,
     parallel_mean,
     parallel_minimum,
@@ -54,8 +53,7 @@ __all__ = [
     "IntAffine",
     "Requantize",
     "lazy",
-    "chunked_quantized_sum",
-    "chunked_quantized_sq_dev",
+    "chunked_moments",
     "parallel_mean",
     "parallel_variance",
     "parallel_std",

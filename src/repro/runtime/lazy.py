@@ -29,30 +29,28 @@ Materialization strategy:
   re-encodes once via the same :func:`~repro.core.ops._partial.rebuild_stored`
   path eager multiplication uses;
 * reductions (:meth:`mean`, :meth:`variance`, :meth:`std`, :meth:`minimum`,
-  :meth:`maximum`) skip the re-encode entirely: they fold the pending
-  transform into the block partial sums, so ``k`` scalar ops + reduction
-  cost one decode and zero encodes.
+  :meth:`maximum`) skip the re-encode entirely: they take the exact
+  :class:`~repro.core.moments.QuantizedMoments` of the transformed
+  blocks, so ``k`` scalar ops + reduction cost one decode and zero
+  encodes.  A trailing negate/add/sub run maps moments to moments exactly,
+  so it costs no pass over the data at all.
 
-Exactness notes: ``mean``/``minimum``/``maximum`` of a fused chain equal
-the eager results bit for bit as long as quantized magnitudes stay below
-2^53 (integer sums are exact in float64 and the closed-form constant-block
-split cannot change them).  ``variance``/``std`` accumulate squared
-*float* deviations, so when a multiplication turns a stored block constant
-the eager path's closed form groups terms differently — agreement there is
-to float64 rounding (~1e-12 relative), not bitwise.  Overflow checking for
-multiplications happens at materialization/reduction time rather than at
-call time; the error raised is the same :class:`OperationError`.
+Exactness: every reduction of a fused chain equals the eager result bit
+for bit — the moments are exact integers, and the same integers whether a
+block is stored or (after a multiplication) constant.  Overflow checking
+for multiplications happens at materialization/reduction time rather than
+at call time; the error raised is the same :class:`OperationError`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
+from repro.core.moments import QuantizedMoments
 from repro.core.ops._partial import (
     Q_LIMIT,
     StoredBlocks,
@@ -61,12 +59,16 @@ from repro.core.ops._partial import (
     stored_quantized,
 )
 from repro.core.ops.negate import negate as eager_negate
-from repro.core.ops.reductions import _quantized_sq_dev, _quantized_sum
 from repro.core.ops.scalar_add import quantized_scalar_shift, shift_outliers
 from repro.core.quantize import dequantize, quantize_scalar
-from repro.runtime.reduce import Executor
+from repro.runtime.reduce import Executor, chunked_moments
 
 __all__ = ["LazyStream", "IntAffine", "Requantize", "lazy"]
+
+_SHIFT_OVERFLOW = (
+    "fused scalar shift overflows the quantized integer range; "
+    "use a larger error bound or a smaller scalar"
+)
 
 
 @dataclass(frozen=True)
@@ -83,14 +85,23 @@ class IntAffine:
             # Same guard as shift_outliers: a fused chain can accumulate a
             # shift the eager path would have rejected step by step, and an
             # unguarded += here wraps int64 silently instead of raising.
-            peak = int(np.abs(out).max()) + abs(shift)
-            if peak >= int(Q_LIMIT):
-                raise OperationError(
-                    "fused scalar shift overflows the quantized integer "
-                    "range; use a larger error bound or a smaller scalar"
-                )
+            if int(np.abs(out).max()) + abs(shift) >= int(Q_LIMIT):
+                raise OperationError(_SHIFT_OVERFLOW)
             out += shift
         return out
+
+    def apply_moments(self, m: QuantizedMoments) -> QuantizedMoments:
+        """Exact moments of ``sigma*q + shift`` from those of ``q``.
+
+        Raises exactly when :meth:`apply` would on the planes ``m`` sums.
+        """
+        shift = int(self.shift)
+        s1, lo, hi = (-m.s1, -m.hi, -m.lo) if self.sigma < 0 else (m.s1, m.lo, m.hi)
+        if shift and m.n and max(hi, -lo) + abs(shift) >= int(Q_LIMIT):
+            raise OperationError(_SHIFT_OVERFLOW)
+        n = m.n
+        s2 = m.s2 + 2 * shift * s1 + n * shift * shift
+        return QuantizedMoments(s1 + n * shift, s2, lo + shift, hi + shift, n)
 
     @property
     def is_identity(self) -> bool:
@@ -259,97 +270,52 @@ class LazyStream:
 
     # ------------------------------------------------------------------ reductions
 
-    def mean(self, executor: Executor | None = None) -> float:
-        """Mean of the transformed stream — one decode, no encode.
-
-        Bit-identical to ``ops.mean(chain materialized eagerly)`` while the
-        quantized sums stay inside float64's exact-integer range (< 2^53).
-        """
+    def _moments(self, executor: Executor | None = None) -> QuantizedMoments:
+        steps = self.steps
+        if steps and isinstance(steps[-1], IntAffine):
+            # sigma*q + shift maps exact moments to exact moments, so the
+            # base view's memoised sums serve a negate/add/sub suffix.
+            inner = LazyStream(self.base, steps[:-1])._moments(executor)
+            return steps[-1].apply_moments(inner)
         blocks = self._transformed_blocks()
-        total = _reduce_sum(blocks, executor)
-        return 2.0 * self.base.eps * (total / self.base.n_elements)
+        if executor is None:
+            return blocks.moments
+        return chunked_moments(blocks, executor)
+
+    def mean(self, executor: Executor | None = None) -> float:
+        """Mean of the transformed stream — one decode, no encode."""
+        return self._moments(executor).finish("mean", self.base.eps)
 
     def variance(self, ddof: int = 0, executor: Executor | None = None) -> float:
-        """Variance of the transformed stream (two-pass, quantized domain)."""
-        n = self.base.n_elements
-        if n - ddof <= 0:
-            raise ValueError(f"variance needs n - ddof > 0, got n={n}, ddof={ddof}")
-        blocks = self._transformed_blocks()
-        mu_q = _reduce_sum(blocks, executor) / n
-        ssd = _reduce_sq_dev(blocks, mu_q, executor)
-        return (2.0 * self.base.eps) ** 2 * (ssd / (n - ddof))
+        """Variance of the transformed stream (exact, quantized domain)."""
+        return self._moments(executor).finish("variance", self.base.eps, ddof)
 
     def std(self, ddof: int = 0, executor: Executor | None = None) -> float:
         """Standard deviation of the transformed stream."""
-        return math.sqrt(self.variance(ddof=ddof, executor=executor))
+        return self._moments(executor).finish("std", self.base.eps, ddof)
 
     def minimum(self) -> float:
-        blocks = self._transformed_blocks()
-        lo = [int(blocks.q.min())] if blocks.q.size else []
-        if blocks.const_outliers.size:
-            lo.append(int(blocks.const_outliers.min()))
-        if not lo:
-            raise ValueError("cannot take the minimum of an empty container")
-        return 2.0 * self.base.eps * min(lo)
+        return self._moments().finish("minimum", self.base.eps)
 
     def maximum(self) -> float:
-        blocks = self._transformed_blocks()
-        hi = [int(blocks.q.max())] if blocks.q.size else []
-        if blocks.const_outliers.size:
-            hi.append(int(blocks.const_outliers.max()))
-        if not hi:
-            raise ValueError("cannot take the maximum of an empty container")
-        return 2.0 * self.base.eps * max(hi)
+        return self._moments().finish("maximum", self.base.eps)
 
-    def quantized_moments(self) -> tuple[float, float, int, int, int]:
-        """``(sum_q, sumsq_q, min_q, max_q, count)`` of the transformed stream.
+    def quantized_moments(self) -> QuantizedMoments:
+        """Exact quantized moments of the transformed stream.
 
         Everything stays in the *quantized integer* domain — no ``2*eps``
-        scaling — so partials from disjoint chunks of one array combine
-        exactly: quantized values are exact float64 integers, integer
-        addition in float64 is exact below 2**53, and exact additions are
-        associative.  That associativity is what lets ``repro.cluster``
-        tree-combine per-shard moments into totals bit-identical to the
-        whole-array sums (``sumsq_q`` needs the stronger bound
-        ``sum(q**2) < 2**53``, which every bundled dataset satisfies).
-        Constant blocks contribute in closed form, same as
-        :func:`repro.core.ops.reductions._quantized_sum`.
+        scaling — so partials from disjoint chunks of one array add into
+        exactly the whole-array moments, which is what lets
+        ``repro.cluster`` combine per-shard PREDUCE replies into a result
+        bit-identical to a single-node reduction.
         """
-        blocks = self._transformed_blocks()
-        s = 0.0
-        s2 = 0.0
-        lo: list[int] = []
-        hi: list[int] = []
-        if blocks.q.size:
-            qf = blocks.q.astype(np.float64)
-            s += float(qf.sum())
-            s2 += float(np.dot(qf, qf))
-            lo.append(int(blocks.q.min()))
-            hi.append(int(blocks.q.max()))
-        if blocks.const_outliers.size:
-            of = blocks.const_outliers.astype(np.float64)
-            s += float((of * blocks.const_lens).sum())
-            s2 += float((of * of * blocks.const_lens).sum())
-            lo.append(int(blocks.const_outliers.min()))
-            hi.append(int(blocks.const_outliers.max()))
-        if not lo:
-            raise ValueError("cannot compute moments of an empty container")
-        return s, s2, min(lo), max(hi), self.base.n_elements
+        return self._moments()
 
     def summary_statistics(
         self, ddof: int = 0, executor: Executor | None = None
     ) -> dict[str, float]:
         """Mean, variance and std of the transformed stream in one decode."""
-        n = self.base.n_elements
-        blocks = self._transformed_blocks()
-        mu_q = _reduce_sum(blocks, executor) / n
-        ssd = _reduce_sq_dev(blocks, mu_q, executor)
-        var = (2.0 * self.base.eps) ** 2 * (ssd / (n - ddof))
-        return {
-            "mean": 2.0 * self.base.eps * mu_q,
-            "variance": var,
-            "std": math.sqrt(var),
-        }
+        return self._moments(executor).summary(self.base.eps, ddof)
 
     # ------------------------------------------------------------------ decode
 
@@ -375,24 +341,6 @@ class LazyStream:
     def to_bytes(self) -> bytes:
         """Serialize — a forcing point: materializes, then ``to_bytes``."""
         return self.materialize().to_bytes()
-
-
-def _reduce_sum(blocks: StoredBlocks, executor: Executor | None) -> float:
-    if executor is None:
-        return _quantized_sum(blocks)
-    from repro.runtime.reduce import chunked_quantized_sum
-
-    return chunked_quantized_sum(blocks, executor)
-
-
-def _reduce_sq_dev(
-    blocks: StoredBlocks, mu_q: float, executor: Executor | None
-) -> float:
-    if executor is None:
-        return _quantized_sq_dev(blocks, mu_q)
-    from repro.runtime.reduce import chunked_quantized_sq_dev
-
-    return chunked_quantized_sq_dev(blocks, mu_q, executor)
 
 
 def lazy(c: SZOpsCompressed | LazyStream) -> LazyStream:

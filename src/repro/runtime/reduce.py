@@ -1,22 +1,18 @@
-"""Chunked parallel reductions over decoded block partial sums.
+"""Chunked parallel reductions over exact quantized moments.
 
-The reduction kernels of :mod:`repro.core.ops.reductions` are single-pass
-NumPy sums over the stored blocks' quantized values plus closed-form terms
-for constant blocks.  For large streams the stored-block pass dominates and
-parallelizes trivially: this module routes it through the pluggable
-execution backends (:mod:`repro.parallel.backends`) — or, for backward
-compatibility, a :class:`repro.parallel.executor.ChunkedExecutor` / thread
-count — as chunked partial aggregates, while the constant-block closed
-forms (the Table V fast path) stay intact: they are O(n_blocks) and not
-worth distributing.
+The reductions of :mod:`repro.core.ops.reductions` finish one
+:class:`~repro.core.moments.QuantizedMoments` per stream.  For large
+streams the stored-block pass dominates and parallelizes trivially: this
+module routes it through the pluggable execution backends
+(:mod:`repro.parallel.backends`) — or, for backward compatibility, a
+:class:`repro.parallel.executor.ChunkedExecutor` / thread count — as one
+moments partial per chunk, while the constant blocks (the Table V fast
+path) stay in closed form: they are O(n_blocks) and not worth
+distributing.
 
-Exactness: quantized partial sums are integers represented exactly in
-float64 (while below 2^53), so the chunked ``sum``/``mean``/``min``/``max``
-equal their serial counterparts bit for bit regardless of chunking.  The
-squared-deviation pass accumulates float products, so variance/std depend
-only on the *chunk boundaries*, never on the substrate: two backends with
-the same worker count partition identically and therefore agree bit for
-bit (the cross-backend identity suite pins this down).
+Exactness: the partials are exact integers and combine by exact integer
+addition, so every reduction here equals its serial counterpart bit for
+bit on every backend and for every worker count.
 
 The decoded blocks come through :func:`stored_quantized`, i.e. the decoded
 -block cache: a parallel reduction after any other operation on the same
@@ -25,22 +21,19 @@ stream skips the decode entirely.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
-from typing import Any, Iterator
-
-import numpy as np
+from typing import Iterator
 
 from repro.core.format import SZOpsCompressed
+from repro.core.moments import QuantizedMoments
 from repro.core.ops._partial import StoredBlocks, stored_quantized
 from repro.parallel import kernels
-from repro.parallel.backends import ChunkKernel, ExecutionBackend
+from repro.parallel.backends import ExecutionBackend
 from repro.parallel.executor import ChunkedExecutor
 from repro.parallel.partition import even_ranges
 
 __all__ = [
-    "chunked_quantized_sum",
-    "chunked_quantized_sq_dev",
+    "chunked_moments",
     "parallel_mean",
     "parallel_variance",
     "parallel_std",
@@ -71,143 +64,64 @@ def _as_executor(
         )
 
 
-def _backend_partials(
-    backend: ExecutionBackend,
-    kernel: ChunkKernel,
-    q: np.ndarray,
-    extra: dict[str, Any] | None = None,
-) -> list[Any]:
-    """Run a reduction kernel over an even ``n_workers``-way chunking."""
-    chunk_specs = [
-        {"lo": lo, "hi": hi, **(extra or {})}
-        for lo, hi in even_ranges(q.size, backend.n_workers)
-    ]
-    return backend.run_kernel(kernel, {"q": q}, chunk_specs).results
-
-
-def _const_sum(blocks: StoredBlocks) -> float:
-    if not blocks.const_outliers.size:
-        return 0.0
-    return float((blocks.const_outliers.astype(np.float64) * blocks.const_lens).sum())
-
-
-def chunked_quantized_sum(blocks: StoredBlocks, executor: Executor) -> float:
-    """Sum of all quantized values via chunked partials (constant closed form)."""
-    total = 0.0
-    if blocks.q.size:
-        q = blocks.q
+def chunked_moments(blocks: StoredBlocks, executor: Executor) -> QuantizedMoments:
+    """Moments of a decoded view, the stored values summed chunk by chunk."""
+    q = blocks.q
+    parts: list[QuantizedMoments] = []
+    if q.size:
         with _as_executor(executor) as ex:
             if isinstance(ex, ExecutionBackend):
-                partials = _backend_partials(ex, kernels.reduce_sum_chunk, q)
+                chunks = [
+                    {"lo": lo, "hi": hi} for lo, hi in even_ranges(q.size, ex.n_workers)
+                ]
+                kernel = kernels.reduce_moments_chunk
+                parts = ex.run_kernel(kernel, {"q": q}, chunks).results
             else:
-                partials = ex.map_ranges(
-                    lambda lo, hi: float(q[lo:hi].sum(dtype=np.float64)), q.size
+                parts = ex.map_ranges(
+                    lambda lo, hi: QuantizedMoments.of_values(q[lo:hi]), q.size
                 )
-        total += math.fsum(partials)
-    return total + _const_sum(blocks)
+    const = QuantizedMoments.of_values(blocks.const_outliers, blocks.const_lens)
+    return QuantizedMoments.combine(parts) + const
 
 
-def chunked_quantized_sq_dev(
-    blocks: StoredBlocks, mu_q: float, executor: Executor
+def _parallel(
+    c: SZOpsCompressed, executor: Executor, reduction: str, ddof: int = 0
 ) -> float:
-    """Sum of squared deviations from ``mu_q`` via chunked partials."""
-    total = 0.0
-    if blocks.q.size:
-        q = blocks.q
-
-        def part(lo: int, hi: int) -> float:
-            dev = q[lo:hi].astype(np.float64) - mu_q
-            return float(np.dot(dev, dev))
-
-        with _as_executor(executor) as ex:
-            if isinstance(ex, ExecutionBackend):
-                partials = _backend_partials(
-                    ex, kernels.reduce_sq_dev_chunk, q, extra={"mu_q": mu_q}
-                )
-            else:
-                partials = ex.map_ranges(part, q.size)
-        total += math.fsum(partials)
-    if blocks.const_outliers.size:
-        dev_c = blocks.const_outliers.astype(np.float64) - mu_q
-        total += float((blocks.const_lens * dev_c * dev_c).sum())
-    return total
+    moments = chunked_moments(stored_quantized(c), executor)
+    return moments.finish(reduction, c.eps, ddof)
 
 
 def parallel_mean(c: SZOpsCompressed, executor: Executor) -> float:
-    """Compressed-domain mean with chunked parallel partial sums.
-
-    Equals :func:`repro.core.ops.mean` bit for bit (integer partials are
-    exact in float64), on every backend.
-    """
-    blocks = stored_quantized(c)
-    return 2.0 * c.eps * (chunked_quantized_sum(blocks, executor) / c.n_elements)
+    """Compressed-domain mean; equals :func:`repro.core.ops.mean` bit for bit."""
+    return _parallel(c, executor, "mean")
 
 
 def parallel_variance(
     c: SZOpsCompressed, executor: Executor, ddof: int = 0
 ) -> float:
-    """Compressed-domain variance with chunked parallel partial sums."""
-    n = c.n_elements
-    if n - ddof <= 0:
-        raise ValueError(f"variance needs n - ddof > 0, got n={n}, ddof={ddof}")
-    blocks = stored_quantized(c)
-    mu_q = chunked_quantized_sum(blocks, executor) / n
-    ssd = chunked_quantized_sq_dev(blocks, mu_q, executor)
-    return (2.0 * c.eps) ** 2 * (ssd / (n - ddof))
+    """Compressed-domain variance; equals :func:`repro.core.ops.variance`."""
+    return _parallel(c, executor, "variance", ddof)
 
 
 def parallel_std(
     c: SZOpsCompressed, executor: Executor, ddof: int = 0
 ) -> float:
-    """Compressed-domain standard deviation with chunked partial sums."""
-    return math.sqrt(parallel_variance(c, executor, ddof=ddof))
+    """Compressed-domain standard deviation; equals :func:`repro.core.ops.std`."""
+    return _parallel(c, executor, "std", ddof)
 
 
 def parallel_summary_statistics(
     c: SZOpsCompressed, executor: Executor, ddof: int = 0
 ) -> dict[str, float]:
-    """Mean/variance/std in one decode with chunked partial sums."""
-    n = c.n_elements
-    blocks = stored_quantized(c)
-    with _as_executor(executor) as ex:
-        mu_q = chunked_quantized_sum(blocks, ex) / n
-        ssd = chunked_quantized_sq_dev(blocks, mu_q, ex)
-    var = (2.0 * c.eps) ** 2 * (ssd / (n - ddof))
-    return {
-        "mean": 2.0 * c.eps * mu_q,
-        "variance": var,
-        "std": math.sqrt(var),
-    }
-
-
-def _chunked_extreme(
-    c: SZOpsCompressed, executor: Executor, kind: str
-) -> float:
-    blocks = stored_quantized(c)
-    ufunc = np.min if kind == "min" else np.max
-    candidates: list[int] = []
-    if blocks.q.size:
-        q = blocks.q
-        with _as_executor(executor) as ex:
-            if isinstance(ex, ExecutionBackend):
-                partials = _backend_partials(
-                    ex, kernels.reduce_extreme_chunk, q, extra={"kind": kind}
-                )
-            else:
-                partials = ex.map_ranges(lambda lo, hi: int(ufunc(q[lo:hi])), q.size)
-        candidates.extend(partials)
-    if blocks.const_outliers.size:
-        candidates.append(int(ufunc(blocks.const_outliers)))
-    if not candidates:
-        raise ValueError(f"cannot take the {kind} of an empty container")
-    return 2.0 * c.eps * (min(candidates) if kind == "min" else max(candidates))
+    """Mean/variance/std from one chunked moments pass."""
+    return chunked_moments(stored_quantized(c), executor).summary(c.eps, ddof)
 
 
 def parallel_minimum(c: SZOpsCompressed, executor: Executor) -> float:
-    """Compressed-domain minimum via chunked partial extrema."""
-    return _chunked_extreme(c, executor, "min")
+    """Compressed-domain minimum via chunked moments."""
+    return _parallel(c, executor, "minimum")
 
 
 def parallel_maximum(c: SZOpsCompressed, executor: Executor) -> float:
-    """Compressed-domain maximum via chunked partial extrema."""
-    return _chunked_extreme(c, executor, "max")
+    """Compressed-domain maximum via chunked moments."""
+    return _parallel(c, executor, "maximum")

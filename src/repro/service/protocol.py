@@ -10,29 +10,35 @@ message — request or response — is one *frame*::
 
 A payload begins with a one-byte protocol version so that a server can
 reject a future client with a clean ``ERROR`` instead of a parse
-failure.  Two versions are live:
+failure.  Three versions are live:
 
 * **version 1** — the original six opcodes (PUT/GET/OP/REDUCE/STATS/
   HEALTH), no epoch field.
 * **version 2** — adds the cluster opcodes (SHARDMAP/PREDUCE/PING), a
   ``u32 epoch`` header field for shard-map fencing, the ``MOMENTS``
   reply body, and the ``RETRY`` status.
+* **version 3** — the ``MOMENTS`` body carries the exact integer sums
+  (see :class:`Moments`); v2's float64 sums are no longer spoken, so
+  PREDUCE and ``MOMENTS`` need version 3.
 
 Requests follow with an opcode, a deadline, and an opcode-specific
 body; responses follow with a status and a typed body::
 
-    request  (v1) = u8 version | u8 opcode | u32 deadline_ms | body
-    request  (v2) = u8 version | u8 opcode | u32 deadline_ms | u32 epoch | body
-    response      = u8 version | u8 status | u8 body_kind    | body
+    request  (v1)  = u8 version | u8 opcode | u32 deadline_ms | body
+    request  (v2+) = u8 version | u8 opcode | u32 deadline_ms | u32 epoch | body
+    response       = u8 version | u8 status | u8 body_kind    | body
 
-**Version negotiation** is downgrade-friendly in both directions: a v2
-server decodes v1 frames exactly as a v1 server would (epoch 0), and
-:func:`encode_request` emits the *lowest* version able to express a
-request — a v1 opcode with no epoch still goes out as a v1 frame, so a
-new client can talk to an old server.  Replies likewise carry the
-lowest version able to express them: only ``MOMENTS`` bodies and
-``RETRY`` statuses are stamped v2, so an old client never receives a
-version byte it cannot parse for an endpoint it knows.
+**Version negotiation** is downgrade-friendly toward version 1: a server
+decodes v1 frames exactly as a v1 server would (epoch 0), and
+:func:`encode_request` emits a version-1 frame whenever the request is
+expressible in one — a v1 opcode with no epoch — so a new client can talk
+to an old server.  Every other frame is stamped with the newest version.
+Replies likewise carry version 1 unless they are ``MOMENTS`` bodies or
+``RETRY`` statuses, so an old client never receives a version byte it
+cannot parse for an endpoint it knows.  Each decoder checks the version a
+feature needs: a v2 PREDUCE request or a v2 ``MOMENTS`` reply is a
+:class:`FrameError` (the server answers it with a v1 ``ERROR``), never a
+moment tuple read with the wrong layout.
 
 ``deadline_ms`` is the client's per-request deadline (0 = use the
 server's default); a request that cannot finish inside it gets a
@@ -52,15 +58,19 @@ opcodes/statuses, or out-of-range counts.  The server converts
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Union
 
+from repro.core.moments import QuantizedMoments
+
 __all__ = [
     "PROTOCOL_VERSION",
     "LEGACY_PROTOCOL_VERSION",
     "SUPPORTED_VERSIONS",
+    "MOMENTS_VERSION",
     "DEFAULT_MAX_FRAME",
     "MAX_STEPS",
     "Opcode",
@@ -89,14 +99,18 @@ __all__ = [
 ]
 
 #: Newest version this codebase speaks (and the version byte used for
-#: frames that need v2 features).
-PROTOCOL_VERSION = 2
+#: every frame a version-1 frame cannot express).
+PROTOCOL_VERSION = 3
 
 #: The original pre-cluster version, still fully supported.
 LEGACY_PROTOCOL_VERSION = 1
 
 #: Versions :func:`decode_request` / :func:`decode_reply` accept.
-SUPPORTED_VERSIONS = (LEGACY_PROTOCOL_VERSION, PROTOCOL_VERSION)
+SUPPORTED_VERSIONS = (LEGACY_PROTOCOL_VERSION, 2, PROTOCOL_VERSION)
+
+#: The exact-integer ``MOMENTS`` layout: PREDUCE requests and ``MOMENTS``
+#: replies stamped with an older version are rejected, not misread.
+MOMENTS_VERSION = 3
 
 #: Default cap on a single frame's payload (64 MiB).  Both sides enforce
 #: it: the reader rejects a larger declared length before allocating.
@@ -119,7 +133,8 @@ class Opcode(IntEnum):
     HEALTH = 6
     #: v2: install / fetch the cluster shard map (JSON document).
     SHARDMAP = 7
-    #: v2: partial reduce — return quantized moments, not a scalar.
+    #: v2: partial reduce — return quantized moments, not a scalar
+    #: (version 3 since the moments became exact integers).
     PREDUCE = 8
     #: v2: lightweight health probe with epoch + load in the payload.
     PING = 9
@@ -163,7 +178,7 @@ class BodyKind(IntEnum):
     JSON = 3
     #: status != OK: ``u16 length | UTF-8 message``.
     MESSAGE = 4
-    #: v2: quantized partial-reduce moments (see :class:`Moments`).
+    #: v3: exact quantized partial-reduce moments (see :class:`Moments`).
     MOMENTS = 5
 
 
@@ -220,6 +235,15 @@ class _Reader:
         n = self.u32(f"{what} length")
         return self.take(n, what)
 
+    def bigint(self, what: str) -> int:
+        n = self.u8(f"{what} length")
+        if not 0 < n <= _MAX_INT_BYTES:
+            raise FrameError(f"{what} takes 1-{_MAX_INT_BYTES} bytes, not {n}")
+        return int.from_bytes(self.take(n, what), "little", signed=True)
+
+    def rest(self) -> bytes:
+        return self.take(len(self._buf) - self._pos, "rest")
+
     def expect_end(self) -> None:
         if self._pos != len(self._buf):
             raise FrameError(
@@ -240,6 +264,20 @@ def _put_blob(out: bytearray, blob: bytes) -> None:
     out += blob
 
 
+#: Cap on an exact integer's encoded size (Σq² of 2^64 values below 2^62
+#: needs 189 bits plus a sign bit).
+_MAX_INT_BYTES = 32
+
+
+def _put_bigint(out: bytearray, value: int) -> None:
+    """``u8 length | little-endian two's complement`` (shortest form)."""
+    n = (value.bit_length() + 8) // 8
+    if n > _MAX_INT_BYTES:
+        raise FrameError(f"integer of {value.bit_length()} bits exceeds the wire cap")
+    out += struct.pack("<B", n)
+    out += value.to_bytes(n, "little", signed=True)
+
+
 # ---------------------------------------------------------------------------
 # requests
 # ---------------------------------------------------------------------------
@@ -256,44 +294,52 @@ class Step:
         return (self.name, self.scalar)
 
 
-_MOMENTS_STRUCT = struct.Struct("<ddqqQd")
+_MOMENTS_HEAD = struct.Struct("<dQqq")
 
 
 @dataclass(frozen=True)
 class Moments:
-    """Quantized partial-reduce moments for one shard of an array.
+    """One shard's exact quantized moments plus the bound that scales them.
 
-    All fields live in the *quantized integer* domain (exact float64
-    integers below 2**53), never the value domain: summing exact
-    integers is associative, which is what makes the router's
-    tree-combine bit-identical to a single-node reduction regardless of
-    shard placement.  ``eps`` rides along so the router can apply the
+    ``moments`` lives in the *quantized integer* domain, never the value
+    domain: adding exact integers is associative, which is what makes the
+    router's combine bit-identical to a single-node reduction regardless
+    of shard placement.  ``eps`` rides along so the router can apply the
     single final ``2 * eps`` scaling exactly as ``runtime.lazy`` does.
 
-    Wire layout: ``f64 sum_q | f64 sumsq_q | i64 min_q | i64 max_q |
-    u64 count | f64 eps`` (48 bytes).
+    Wire layout (version 3): ``f64 eps | u64 n | i64 lo | i64 hi | int s1
+    | int s2``, where ``int`` is ``u8 length`` plus that many bytes of
+    little-endian two's complement.  Decoding rejects sums no integer
+    array in ``[lo, hi]`` could have (``n·lo <= s1 <= n·hi`` and
+    ``s1² <= n·s2 <= n²·max(lo², hi²)``).
     """
 
-    sum_q: float
-    sumsq_q: float
-    min_q: int
-    max_q: int
-    count: int
+    moments: QuantizedMoments
     eps: float
 
     def to_bytes(self) -> bytes:
-        return _MOMENTS_STRUCT.pack(
-            self.sum_q, self.sumsq_q, self.min_q, self.max_q, self.count, self.eps
-        )
+        m = self.moments
+        out = bytearray(_MOMENTS_HEAD.pack(self.eps, m.n, m.lo, m.hi))
+        _put_bigint(out, m.s1)
+        _put_bigint(out, m.s2)
+        return bytes(out)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Moments":
-        if len(raw) != _MOMENTS_STRUCT.size:
-            raise FrameError(
-                f"moments body must be {_MOMENTS_STRUCT.size} bytes, got {len(raw)}"
-            )
-        s, s2, lo, hi, n, eps = _MOMENTS_STRUCT.unpack(raw)
-        return cls(float(s), float(s2), int(lo), int(hi), int(n), float(eps))
+        r = _Reader(raw)
+        eps, n, lo, hi = _MOMENTS_HEAD.unpack(r.take(_MOMENTS_HEAD.size, "moments"))
+        m = QuantizedMoments(r.bigint("moments s1"), r.bigint("moments s2"), lo, hi, n)
+        r.expect_end()
+        feasible = (
+            lo <= hi
+            and n * lo <= m.s1 <= n * hi
+            and m.s1 * m.s1 <= n * m.s2 <= n * n * max(lo * lo, hi * hi)
+            if n
+            else m == QuantizedMoments(0, 0, 0, 0, 0)
+        )
+        if not (feasible and eps > 0 and math.isfinite(eps)):
+            raise FrameError(f"moments body is not a valid moment tuple: {m}, eps={eps}")
+        return cls(m, float(eps))
 
 
 @dataclass(frozen=True)
@@ -437,7 +483,7 @@ def encode_request(req: Request, deadline_ms: int = 0, epoch: int = 0) -> bytes:
     The version byte is chosen per-request: a legacy opcode with epoch 0
     is emitted as a version-1 frame (parseable by pre-cluster servers);
     anything needing the epoch field or a cluster opcode goes out as
-    version 2.
+    the newest version.
     """
     if not 0 <= deadline_ms <= 0xFFFFFFFF:
         raise FrameError(f"deadline_ms out of range: {deadline_ms}")
@@ -450,7 +496,7 @@ def encode_request(req: Request, deadline_ms: int = 0, epoch: int = 0) -> bytes:
     )
     out = bytearray()
     out += struct.pack("<BBI", wire_version, int(req.opcode), deadline_ms)
-    if wire_version >= PROTOCOL_VERSION:
+    if wire_version > LEGACY_PROTOCOL_VERSION:
         out += struct.pack("<I", epoch)
     if isinstance(req, PutRequest):
         _put_str(out, req.name)
@@ -484,8 +530,8 @@ def encode_request(req: Request, deadline_ms: int = 0, epoch: int = 0) -> bytes:
 def decode_request(payload: bytes) -> tuple[Request, int, int]:
     """Parse a request payload into ``(request, deadline_ms, epoch)``.
 
-    Version-1 frames decode with epoch 0; a v1 frame carrying a cluster
-    opcode is rejected (those opcodes only exist in v2).
+    Version-1 frames decode with epoch 0; a frame older than its opcode
+    (a v1 cluster opcode, a v2 PREDUCE) is rejected.
     """
     r = _Reader(payload)
     version = r.u8("protocol version")
@@ -496,12 +542,17 @@ def decode_request(payload: bytes) -> tuple[Request, int, int]:
         opcode = Opcode(raw_op)
     except ValueError:
         raise FrameError(f"unknown opcode {raw_op}") from None
-    if version < PROTOCOL_VERSION and opcode not in V1_OPCODES:
-        raise FrameError(
-            f"opcode {opcode.name} requires protocol version {PROTOCOL_VERSION}"
-        )
+    needed = (
+        MOMENTS_VERSION
+        if opcode is Opcode.PREDUCE
+        else LEGACY_PROTOCOL_VERSION
+        if opcode in V1_OPCODES
+        else 2
+    )
+    if version < needed:
+        raise FrameError(f"opcode {opcode.name} requires protocol version {needed}")
     deadline_ms = r.u32("deadline")
-    epoch = r.u32("epoch") if version >= PROTOCOL_VERSION else 0
+    epoch = r.u32("epoch") if version > LEGACY_PROTOCOL_VERSION else 0
     req: Request
     if opcode is Opcode.PUT:
         name = r.string("array name")
@@ -576,15 +627,12 @@ class Reply:
 def encode_reply(reply: Reply) -> bytes:
     """Serialize one reply into a frame payload (no length prefix).
 
-    Like requests, replies are stamped with the lowest version able to
-    express them: only ``MOMENTS`` bodies and ``RETRY`` statuses need
-    the version-2 byte, so v1 clients keep parsing every reply to an
-    endpoint they can reach.
+    Like requests, replies are stamped version 1 when they can be: only
+    ``MOMENTS`` bodies and ``RETRY`` statuses carry the newest version,
+    so v1 clients keep parsing every reply to an endpoint they can reach.
     """
-    needs_v2 = reply.status is Status.RETRY or (
-        reply.status is Status.OK and reply.kind is BodyKind.MOMENTS
-    )
-    wire_version = PROTOCOL_VERSION if needs_v2 else LEGACY_PROTOCOL_VERSION
+    needs_new = reply.status is Status.RETRY or reply.kind is BodyKind.MOMENTS
+    wire_version = PROTOCOL_VERSION if needs_new else LEGACY_PROTOCOL_VERSION
     out = bytearray()
     out += struct.pack("<BBB", wire_version, int(reply.status), int(reply.kind))
     if reply.status is Status.RETRY:
@@ -630,12 +678,15 @@ def decode_reply(payload: bytes) -> Reply:
         kind = BodyKind(raw_kind)
     except ValueError:
         raise FrameError(f"unknown body kind {raw_kind}") from None
-    if version < PROTOCOL_VERSION and (
-        status is Status.RETRY or kind is BodyKind.MOMENTS
-    ):
-        raise FrameError(
-            f"reply feature requires protocol version {PROTOCOL_VERSION}"
-        )
+    needed = (
+        MOMENTS_VERSION
+        if kind is BodyKind.MOMENTS
+        else 2
+        if status is Status.RETRY
+        else LEGACY_PROTOCOL_VERSION
+    )
+    if version < needed:
+        raise FrameError(f"reply feature requires protocol version {needed}")
     if status is Status.RETRY:
         message = r.string("message")
         raw = r.blob("shard map")
@@ -652,10 +703,8 @@ def decode_reply(payload: bytes) -> Reply:
         r.expect_end()
         return Reply(status=status, kind=BodyKind.MESSAGE, message=message)
     if kind is BodyKind.MOMENTS:
-        raw = r.take(_MOMENTS_STRUCT.size, "moments")
-        reply = Reply(status=status, kind=kind, moments=Moments.from_bytes(bytes(raw)))
-        r.expect_end()
-        return reply
+        moments = Moments.from_bytes(bytes(r.rest()))
+        return Reply(status=status, kind=kind, moments=moments)
     if kind is BodyKind.BLOB:
         version_no = r.u32("version")
         blob = r.blob("stream")

@@ -95,13 +95,7 @@ class TestQuantizedMoments:
         from repro.service.protocol import Moments
 
         _data, c = _compress(20_000)
-        s, s2, lo, hi, n = LazyStream(c).quantized_moments()
+        whole = LazyStream(c).quantized_moments()
         parts = split_container(c, 7)
-        partials = []
-        for p in parts:
-            ps, ps2, plo, phi, pn = LazyStream(p).quantized_moments()
-            partials.append(Moments(ps, ps2, plo, phi, pn, p.eps))
-        m = combine_moments(partials)
-        assert (m.sum_q, m.sumsq_q, m.min_q, m.max_q, m.count) == (
-            s, s2, lo, hi, n,
-        )
+        partials = [Moments(LazyStream(p).quantized_moments(), p.eps) for p in parts]
+        assert combine_moments(partials).moments == whole

@@ -1,4 +1,4 @@
-"""Protocol v2: cluster opcodes, epoch field, and version negotiation.
+"""Protocols v2/v3: cluster opcodes, epoch field, and version negotiation.
 
 The negotiation contract, pinned in both directions:
 
@@ -6,7 +6,9 @@ The negotiation contract, pinned in both directions:
   go out as a version-1 frame, byte-compatible with the pre-cluster
   wire format.
 * A reply that a v1 client could parse MUST be stamped version 1; only
-  ``MOMENTS`` bodies and ``RETRY`` statuses may claim version 2.
+  ``MOMENTS`` bodies and ``RETRY`` statuses may claim a newer version.
+* PREDUCE and ``MOMENTS`` need version 3 (exact integer moments); a v2
+  frame carrying either is rejected, never parsed with the wrong layout.
 * A live v2 server answers hand-crafted v1 frames instead of closing
   the connection.
 """
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.moments import QuantizedMoments
 from repro.service import protocol
 from repro.service.protocol import (
     LEGACY_PROTOCOL_VERSION,
@@ -84,11 +87,11 @@ class TestClusterRequestRoundtrips:
 
 class TestMoments:
     def test_roundtrip(self):
-        m = Moments(1.5e12, 2.25e15, -4000, 4096, 20_000, 1e-3)
+        m = Moments(QuantizedMoments(-1_500_000, 225_000_000_000, -4000, 4096, 20_000), 1e-3)
         assert Moments.from_bytes(m.to_bytes()) == m
 
     def test_moments_reply_roundtrip_is_v2(self):
-        m = Moments(10.0, 100.0, -3, 7, 64, 1e-3)
+        m = Moments(QuantizedMoments(10, 100, -3, 7, 64), 1e-3)
         payload = protocol.encode_reply(
             Reply(status=Status.OK, kind=BodyKind.MOMENTS, moments=m)
         )
@@ -96,7 +99,7 @@ class TestMoments:
         assert protocol.decode_reply(payload).moments == m
 
     def test_v1_frame_cannot_carry_moments(self):
-        m = Moments(10.0, 100.0, -3, 7, 64, 1e-3)
+        m = Moments(QuantizedMoments(10, 100, -3, 7, 64), 1e-3)
         payload = bytearray(
             protocol.encode_reply(
                 Reply(status=Status.OK, kind=BodyKind.MOMENTS, moments=m)
@@ -105,6 +108,67 @@ class TestMoments:
         payload[0] = LEGACY_PROTOCOL_VERSION
         with pytest.raises(FrameError, match="version"):
             protocol.decode_reply(bytes(payload))
+
+
+class TestExactMomentsV3:
+    """The v3 MOMENTS body: exact ints, and no v2 peer ever misreads it."""
+
+    def test_sums_beyond_float64_roundtrip_exactly(self):
+        n, v = 2**40, 2**61 - 3
+        m = Moments(QuantizedMoments(n * v, n * v * v + 7, v - 2, v + 3, n), 1e-4)
+        back = protocol.decode_reply(
+            protocol.encode_reply(Reply(status=Status.OK, kind=BodyKind.MOMENTS, moments=m))
+        )
+        assert back.moments == m
+
+    def test_v2_preduce_request_rejected(self):
+        payload = bytearray(protocol.encode_request(PReduceRequest("U"), epoch=3))
+        assert payload[0] == protocol.MOMENTS_VERSION
+        payload[0] = 2
+        with pytest.raises(FrameError, match="version 3"):
+            protocol.decode_request(bytes(payload))
+
+    def test_v2_moments_reply_rejected(self):
+        m = Moments(QuantizedMoments(10, 100, -3, 7, 64), 1e-3)
+        payload = bytearray(
+            protocol.encode_reply(Reply(status=Status.OK, kind=BodyKind.MOMENTS, moments=m))
+        )
+        payload[0] = 2
+        with pytest.raises(FrameError, match="version 3"):
+            protocol.decode_reply(bytes(payload))
+
+    def test_legacy_float_body_is_not_misread(self):
+        legacy = struct.pack("<ddqqQd", 10.0, 100.0, -3, 7, 64, 1e-3)
+        with pytest.raises(FrameError):
+            Moments.from_bytes(legacy)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            QuantizedMoments(1000, 10**6, -3, 7, 64),  # s1 above n*hi
+            QuantizedMoments(10, 1, -3, 7, 64),  # n*s2 below s1^2
+            QuantizedMoments(10, 10**6, -3, 7, 64),  # s2 above n*max(lo^2, hi^2)
+            QuantizedMoments(0, 0, 7, -3, 4),  # lo above hi
+            QuantizedMoments(1, 1, 1, 1, 0),  # empty but nonzero sums
+        ],
+    )
+    def test_infeasible_moments_rejected(self, m):
+        with pytest.raises(FrameError, match="valid moment"):
+            Moments.from_bytes(Moments(m, 1e-3).to_bytes())
+
+    def test_live_node_answers_v2_preduce_with_a_clean_error(
+        self, cluster_factory, plain_client_factory
+    ):
+        _router, handles = cluster_factory(n_nodes=1, replicas=1)
+        client = plain_client_factory(_node_info_of(handles[0]))
+        payload = bytearray(protocol.encode_request(PReduceRequest("U")))
+        payload[0] = 2
+        client.send_raw(protocol.pack_frame(bytes(payload)))
+        reply = client.recv_reply()
+        assert reply.status is Status.ERROR
+        assert "version 3" in reply.message
+        # The connection stays usable afterwards.
+        assert client.ping()["epoch"] >= 1
 
 
 class TestRetryReplies:

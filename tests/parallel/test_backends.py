@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.moments import QuantizedMoments
 from repro.parallel.backends import (
     ArrayDescriptor,
     ExecutionBackend,
@@ -16,7 +17,7 @@ from repro.parallel.backends import (
     available_backends,
     get_backend,
 )
-from repro.parallel.kernels import reduce_sum_chunk
+from repro.parallel.kernels import reduce_moments_chunk
 from repro.parallel.partition import even_ranges
 
 
@@ -60,8 +61,10 @@ class TestRunKernel:
         q = np.arange(100, dtype=np.int64)
         chunks = [{"lo": lo, "hi": hi} for lo, hi in even_ranges(q.size, 4)]
         with get_backend(name, 4) as be:
-            run = be.run_kernel(reduce_sum_chunk, {"q": q}, chunks)
-        assert run.results == [float(q[c["lo"] : c["hi"]].sum()) for c in chunks]
+            run = be.run_kernel(reduce_moments_chunk, {"q": q}, chunks)
+        assert run.results == [
+            QuantizedMoments.of_values(q[c["lo"] : c["hi"]]) for c in chunks
+        ]
         assert run.outputs == {}
 
     def test_out_specs_allocated_and_returned(self):

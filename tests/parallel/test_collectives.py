@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from repro import SZOps
+from repro.core.ops._partial import stored_quantized
 from repro.parallel import (
     compressed_mean_allreduce,
     compressed_stats_allreduce,
-    local_quantized_moments,
     run_spmd,
     traditional_stats_allreduce,
 )
+
+
+def local_moments(c):
+    """(sum, sum of squares, count) in value units, from the exact moments."""
+    m = stored_quantized(c).moments
+    scale = 2.0 * c.eps
+    return scale * m.s1, scale * scale * m.s2, m.n
 
 
 @pytest.fixture
@@ -27,7 +34,7 @@ class TestLocalMoments:
     def test_moments_match_decompressed(self, codec, smooth_1d):
         c = codec.compress(smooth_1d, 1e-4)
         x = codec.decompress(c).astype(np.float64)
-        s, s2, n = local_quantized_moments(c)
+        s, s2, n = local_moments(c)
         assert n == x.size
         assert s == pytest.approx(float(x.sum()), rel=1e-6)
         assert s2 == pytest.approx(float(np.dot(x, x)), rel=1e-6)
@@ -35,7 +42,7 @@ class TestLocalMoments:
     def test_constant_blocks_closed_form(self, codec, plateau_field):
         c = codec.compress(plateau_field, 1e-4)
         x = codec.decompress(c).astype(np.float64).reshape(-1)
-        s, s2, n = local_quantized_moments(c)
+        s, s2, n = local_moments(c)
         assert s == pytest.approx(float(x.sum()), rel=1e-6, abs=1e-9)
         assert s2 == pytest.approx(float(np.dot(x, x)), rel=1e-6)
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.moments import QuantizedMoments
 from repro.parallel.backends.process import (
     OVERHEAD_AMORTIZATION,
     ProcessBackend,
 )
-from repro.parallel.kernels import reduce_sum_chunk
+from repro.parallel.kernels import reduce_moments_chunk
 
 
 @pytest.fixture
@@ -96,13 +97,13 @@ class TestBatchedExecution:
     def test_results_flatten_in_chunk_order_across_warm_calls(self):
         q = np.arange(120, dtype=np.int64)
         chunks = [{"lo": i, "hi": i + 10} for i in range(0, 120, 10)]
-        expected = [float(q[c["lo"] : c["hi"]].sum()) for c in chunks]
+        expected = [QuantizedMoments.of_values(q[c["lo"] : c["hi"]]) for c in chunks]
         with ProcessBackend(n_workers=2) as be:
             # Call 1: singles (no estimate yet) seeds overhead + EWMA.
-            first = be.run_kernel(reduce_sum_chunk, {"q": q}, chunks).results
+            first = be.run_kernel(reduce_moments_chunk, {"q": q}, chunks).results
             assert be._dispatch_overhead_s is not None
-            assert "reduce_sum_chunk" in be._chunk_ewma_s
+            assert "reduce_moments_chunk" in be._chunk_ewma_s
             # Call 2: may batch; results must still flatten in order.
-            second = be.run_kernel(reduce_sum_chunk, {"q": q}, chunks).results
+            second = be.run_kernel(reduce_moments_chunk, {"q": q}, chunks).results
         assert first == expected
         assert second == expected

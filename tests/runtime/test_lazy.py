@@ -3,9 +3,8 @@
 The ISSUE-1 cache-correctness satellite: fused ``(a·x + b)``-style chains
 must be bit-identical to applying the operations eagerly one at a time.
 Affine chains and chains ending in a multiply compare at the container-byte
-level; reductions compare exactly (mean/min/max) or to float64 rounding
-(variance/std — the eager path's constant-block closed form can group the
-float accumulation differently when a multiply reclassifies blocks).
+level; every reduction compares exactly (the moments are exact integers,
+whichever blocks a multiply reclassifies as constant).
 """
 
 from __future__ import annotations
@@ -154,14 +153,14 @@ class TestReductions:
     def test_variance_std_match_to_rounding(self, stream, steps):
         out = eager_replay(stream, steps)
         chain = fused(stream, steps)
-        assert chain.variance() == pytest.approx(ops.variance(out), rel=1e-11)
-        assert chain.std() == pytest.approx(ops.std(out), rel=1e-11)
+        assert chain.variance() == ops.variance(out)
+        assert chain.std() == ops.std(out)
 
     def test_summary_statistics_consistent(self, stream):
         chain = lazy(stream).negate().scalar_multiply(0.1)
         stats = chain.summary_statistics()
         assert stats["mean"] == chain.mean()
-        assert stats["variance"] == pytest.approx(chain.variance(), rel=1e-12)
+        assert stats["variance"] == chain.variance()
 
     def test_reduction_without_steps_equals_eager_op(self, stream):
         assert lazy(stream).mean() == ops.mean(stream)
