@@ -1024,7 +1024,9 @@ class Interpreter:
         if isinstance(node, ast.UnaryOp):
             v = self.eval(node.operand, state)
             if isinstance(node.op, ast.USub):
-                out = replace(v, itv=v.itv.neg(), origin=None)
+                # -x.min() keeps its origin so max(x.max(), -x.min()) is |x|.max()
+                origin = ("negmin", v.origin[1]) if v.origin and v.origin[0] == "min" else None
+                out = replace(v, itv=v.itv.neg(), origin=origin)
                 if v.arr is not None:
                     # negation materializes a temp: fresh, writable buffer
                     self.check_array_read(node, v, state)
@@ -1278,6 +1280,11 @@ class Interpreter:
             out = args[0]
             for a in args[1:]:
                 out = out.join(a)
+            if fp == "max" and len(args) == 2:
+                o1, o2 = args[0].origin, args[1].origin
+                if o1 and o2 and {o1[0], o2[0]} == {"max", "negmin"} and o1[1:] == o2[1:]:
+                    # max(x.max(), -x.min()) is |x|.max() with no |x| temporary
+                    return out.with_origin(("absmax", o1[1]))
             return out.with_origin(None)
         if fp in ("range", "enumerate", "zip", "sorted", "list", "tuple", "dict", "set", "isinstance", "print", "repr", "str", "format", "getattr", "hasattr"):
             return Value.obj()

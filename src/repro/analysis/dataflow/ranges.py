@@ -3,8 +3,9 @@
 ``SZL101`` upgrades the syntactic SZL001: an int64 arithmetic result
 involving a quantized plane is flagged only when the engine cannot prove
 the result interval fits int64 — a kernel guarded by the
-``shift_outliers`` idiom (``peak = |x|.max() + |y|; if peak >= Q_LIMIT:
-raise``) is *proven* safe and needs no suppression.
+``ensure_quantized_range`` idiom (``peak = max(x.max(), -x.min()) + |y|;
+if peak >= Q_LIMIT: raise``, or the same with ``|x|.max()``) is *proven*
+safe and needs no suppression.
 
 ``SZL102`` upgrades the syntactic SZL002 for casts: ``x.astype(int64)``
 on a float value is flagged unless the engine proved both finiteness and
@@ -70,8 +71,10 @@ class RangesPass(Interpreter):
             f"{_fmt(lv.itv)} {sym} {_fmt(rv.itv)} is not provably within int64",
             hint=(
                 "guard the peak magnitude before the operation "
-                "(`peak = int(np.abs(x).max()) + abs(y); if peak >= int(Q_LIMIT): raise`, "
-                "as in shift_outliers) or widen to float64/python int first"
+                "(`peak = max(int(x.max()), -int(x.min())) + abs(y); "
+                "if peak >= int(Q_LIMIT): raise`, "
+                "as in ensure_quantized_range) or widen to float64/python int "
+                "first"
             ),
         )
 

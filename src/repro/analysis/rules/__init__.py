@@ -101,10 +101,6 @@ class RuleSpec:
     checker: Checker | None = None
     project_checker: ProjectChecker | None = None
 
-    @property
-    def is_project_rule(self) -> bool:
-        return self.project_checker is not None
-
 
 RULES: dict[str, RuleSpec] = {}
 

@@ -305,6 +305,9 @@ def encode_magnitudes(
             )
         else:
             out[_row_byte_index(off_bytes, row_bytes)] = flat
+    # The word buffer is private to this call: read-only, it lets
+    # SZOpsCompressed take the payload view without a copy.
+    out_words.setflags(write=False)
     return out, total_bits
 
 

@@ -16,13 +16,17 @@ The in-memory container keeps each section as a NumPy array so that
 compressed-domain operations (:mod:`repro.core.ops`) can act on exactly the
 data a serialized stream holds.  ``to_bytes`` / ``from_bytes`` round-trip
 the container through the single-buffer stream format.
+
+Containers are immutable: every plane is read-only from construction on,
+so an operation's result shares the planes it does not change with its
+input, and the content digest is computed at most once per container.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,10 +39,29 @@ __all__ = ["SZOpsCompressed", "MAGIC"]
 
 MAGIC = b"SZOPS"
 
+_PLANES = ("widths", "outliers", "sign_bytes", "payload_bytes")
 
-@dataclass
+
+def _read_only(plane: np.ndarray) -> np.ndarray:
+    """``plane``, frozen in place unless another writer can reach its memory.
+
+    An array that owns its data, or views read-only memory, is frozen
+    without a copy; a view of writable memory is copied first.
+    """
+    base = plane.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if isinstance(base, np.ndarray) or (
+        base is not None and not memoryview(base).readonly  # type: ignore[arg-type]
+    ):
+        plane = plane.copy()
+    plane.setflags(write=False)
+    return plane
+
+
+@dataclass(frozen=True)
 class SZOpsCompressed:
-    """A compressed array plus the metadata needed to operate on it.
+    """An immutable compressed array plus the metadata to operate on it.
 
     Attributes
     ----------
@@ -52,6 +75,9 @@ class SZOpsCompressed:
         order (one bit per element; the block-start bit is always 0).
     payload_bytes : packed fixed-length magnitudes of the non-constant
         blocks, in block order.
+
+    The planes are read-only; build a changed container with
+    ``dataclasses.replace`` and new arrays.
     """
 
     shape: tuple[int, ...]
@@ -62,6 +88,16 @@ class SZOpsCompressed:
     outliers: np.ndarray
     sign_bytes: np.ndarray
     payload_bytes: np.ndarray
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in _PLANES:
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    def __reduce__(self) -> tuple:
+        # Through the constructor, so an unpickled copy is read-only too.
+        header = (self.shape, self.dtype, self.eps, self.block_size)
+        return type(self), header + tuple(getattr(self, name) for name in _PLANES)
 
     # ------------------------------------------------------------------ geometry
 
@@ -137,33 +173,24 @@ class SZOpsCompressed:
         block size) and the four section planes (widths, outliers, signs,
         payload).  Two containers share a fingerprint iff they represent the
         same stream byte for byte, so the decoded-block cache in
-        :mod:`repro.runtime.cache` keys on this value: mutating a container
-        in place (e.g. ``scalar_add(..., inplace=True)``) changes its
-        fingerprint and therefore naturally misses any stale cache entry.
-
-        Cheaper than ``to_bytes()`` (no stream assembly, no outlier-plane
-        narrowing) and orders of magnitude cheaper than the BF⁻¹ + Lorenzo⁻¹
-        decode it guards.
+        :mod:`repro.runtime.cache` keys on this value and equal-content
+        containers share one entry.  The container is immutable, so the
+        digest is computed on the first call and stored on the instance;
+        every later call is a field read.
         """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(np.dtype(self.dtype).str.encode())
-        h.update(struct.pack(f"<B{len(self.shape)}q", len(self.shape), *self.shape))
-        h.update(struct.pack("<dI", self.eps, self.block_size))
-        h.update(np.ascontiguousarray(self.widths, dtype=np.uint8))
-        h.update(np.ascontiguousarray(self.outliers, dtype=np.int64))
-        h.update(np.ascontiguousarray(self.sign_bytes, dtype=np.uint8))
-        h.update(np.ascontiguousarray(self.payload_bytes, dtype=np.uint8))
-        return h.hexdigest()
-
-    def copy(self) -> "SZOpsCompressed":
-        """Deep copy (ops that mutate planes work on copies by default)."""
-        return replace(
-            self,
-            widths=self.widths.copy(),
-            outliers=self.outliers.copy(),
-            sign_bytes=self.sign_bytes.copy(),
-            payload_bytes=self.payload_bytes.copy(),
-        )
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            h = hashlib.blake2b(digest_size=16)
+            h.update(np.dtype(self.dtype).str.encode())
+            h.update(struct.pack(f"<B{len(self.shape)}q", len(self.shape), *self.shape))
+            h.update(struct.pack("<dI", self.eps, self.block_size))
+            h.update(np.ascontiguousarray(self.widths, dtype=np.uint8))
+            h.update(np.ascontiguousarray(self.outliers, dtype=np.int64))
+            h.update(np.ascontiguousarray(self.sign_bytes, dtype=np.uint8))
+            h.update(np.ascontiguousarray(self.payload_bytes, dtype=np.uint8))
+            fingerprint = h.hexdigest()
+            object.__setattr__(self, "_fingerprint", fingerprint)
+        return fingerprint
 
     # ------------------------------------------------------------------ serialization
 
@@ -224,14 +251,15 @@ class SZOpsCompressed:
         if not valid_eps(eps):
             raise FormatError(f"invalid error bound {eps} in header")
         layout = BlockLayout(n_elements, block_size)
-        widths = np.frombuffer(r.read_bytes(layout.n_blocks), dtype=np.uint8).copy()
-        outliers = r.read_array().astype(np.int64)
+        # read_bytes returns private bytes: read-only planes with no copy.
+        widths = np.frombuffer(r.read_bytes(layout.n_blocks), dtype=np.uint8)
+        outliers = r.read_array().astype(np.int64, copy=False)
         if outliers.size != layout.n_blocks:
             raise FormatError("outlier plane does not match block count")
         n_sign = r.read_u64()
-        sign_bytes = np.frombuffer(r.read_bytes(n_sign), dtype=np.uint8).copy()
+        sign_bytes = np.frombuffer(r.read_bytes(n_sign), dtype=np.uint8)
         n_payload = r.read_u64()
-        payload_bytes = np.frombuffer(r.read_bytes(n_payload), dtype=np.uint8).copy()
+        payload_bytes = np.frombuffer(r.read_bytes(n_payload), dtype=np.uint8)
         r.expect_end()
         container = cls(
             shape=shape,

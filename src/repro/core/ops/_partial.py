@@ -29,6 +29,7 @@ __all__ = [
     "stored_quantized",
     "decode_stored_blocks",
     "ensure_quantized_range",
+    "range_overflow",
     "requantize",
     "rebuild_stored",
 ]
@@ -64,13 +65,16 @@ class StoredBlocks:
         """
         return QuantizedMoments.of(self)
 
-    @property
-    def n_stored_elements(self) -> int:
-        return int(self.lens.sum())
+    def expand(self, lens: np.ndarray) -> np.ndarray:
+        """Quantized integers of every block in element order.
 
-    @property
-    def n_constant_elements(self) -> int:
-        return int(self.const_lens.sum())
+        ``lens`` holds the lengths of all blocks, stored and constant.
+        """
+        q = np.empty(int(lens.sum()), dtype=np.int64)
+        stored_elems = np.repeat(self.stored_mask, lens)
+        q[stored_elems] = self.q
+        q[~stored_elems] = np.repeat(self.const_outliers, self.const_lens)
+        return q
 
 
 def stored_quantized(c: SZOpsCompressed) -> StoredBlocks:
@@ -114,21 +118,31 @@ def decode_stored_blocks(c: SZOpsCompressed) -> StoredBlocks:
     )
 
 
-def ensure_quantized_range(q: np.ndarray, context: str) -> np.ndarray:
-    """Enforce the ``|q| < Q_LIMIT`` invariant on a combined quantized plane.
+def range_overflow(context: str) -> OperationError:
+    """The error every quantized-range guard raises, naming the operation."""
+    return OperationError(
+        f"{context} overflows the quantized integer range; "
+        "use a larger error bound or smaller operands"
+    )
+
+
+def ensure_quantized_range(q: np.ndarray, context: str, shift: int = 0) -> np.ndarray:
+    """``q + shift``, enforcing the ``|q| + |shift| < Q_LIMIT`` invariant.
 
     Compressed-domain combines (``q_a ± q_b``) double the worst-case bin
-    magnitude; without this gate a chain of combines could push bins past
-    the guard band, where the *next* op's Lorenzo deltas wrap int64 and
-    silently corrupt the stream.  Raises :class:`OperationError` naming
-    ``context`` so the failing operation is diagnosable.
+    magnitude, and a scalar shift adds to it; without this gate a chain of
+    ops could push bins past the guard band, where int64 wraps silently or
+    the *next* op's Lorenzo deltas do, corrupting the stream.  Raises
+    :class:`OperationError` naming ``context`` so the failing operation is
+    diagnosable.
     """
-    if q.size and int(np.abs(q).max()) >= int(Q_LIMIT):
-        raise OperationError(
-            f"{context} overflows the quantized integer range; "
-            "use a larger error bound or smaller operands"
-        )
-    return q
+    shift = int(shift)
+    if not q.size:
+        return q
+    peak = max(int(q.max()), -int(q.min())) + abs(shift)
+    if peak >= int(Q_LIMIT):
+        raise range_overflow(context)
+    return q + shift if shift else q
 
 
 def requantize(q: np.ndarray, factor: float) -> np.ndarray:
@@ -146,10 +160,7 @@ def requantize(q: np.ndarray, factor: float) -> np.ndarray:
     # max/min propagate NaN and NaN fails both comparisons, so this one
     # guard rejects NaN, +-inf and every finite |x| >= Q_LIMIT.
     if scaled.size and not (scaled.max() < limit and scaled.min() > -limit):
-        raise OperationError(
-            "scalar multiplication overflows the quantized integer range; "
-            "use a larger error bound or a smaller scalar"
-        )
+        raise range_overflow("scalar multiplication")
     return scaled.astype(np.int64)
 
 

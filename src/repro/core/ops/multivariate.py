@@ -28,13 +28,13 @@ import math
 
 import numpy as np
 
-from repro.core.encode import encode_bins, encode_block_sections
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
 from repro.core.moments import QuantizedMoments
 from repro.core.ops._partial import (
     StoredBlocks,
     ensure_quantized_range,
+    rebuild_stored,
     stored_quantized,
 )
 
@@ -65,73 +65,39 @@ def _require_compatible(a: SZOpsCompressed, b: SZOpsCompressed) -> None:
         )
 
 
-def _full_quantized(blocks: StoredBlocks, lens: np.ndarray) -> np.ndarray:
-    """Expand a StoredBlocks view to the full quantized array."""
-    n = int(lens.sum())
-    q = np.empty(n, dtype=np.int64)
-    stored_elems = np.repeat(blocks.stored_mask, lens)
-    if blocks.q.size:
-        q[stored_elems] = blocks.q
-    if blocks.const_outliers.size:
-        q[~stored_elems] = np.repeat(blocks.const_outliers, blocks.const_lens)
-    return q
-
-
 def _combine(a: SZOpsCompressed, b: SZOpsCompressed, sign: int) -> SZOpsCompressed:
     _require_compatible(a, b)
-    layout = a.layout
-    lens = layout.lengths()
+    lens = a.layout.lengths()
     blocks_a = stored_quantized(a)
     blocks_b = stored_quantized(b)
 
     both_const = ~blocks_a.stored_mask & ~blocks_b.stored_mask
     any_stored = ~both_const
 
-    new_outliers = np.empty(layout.n_blocks, dtype=np.int64)
-    new_widths = np.zeros(layout.n_blocks, dtype=np.uint8)
-
     # Constant x constant pairs: combine outliers, never touch payload.
-    const_a = np.zeros(layout.n_blocks, dtype=np.int64)
-    const_b = np.zeros(layout.n_blocks, dtype=np.int64)
+    const_a = np.zeros(lens.size, dtype=np.int64)
+    const_b = np.zeros(lens.size, dtype=np.int64)
     const_a[~blocks_a.stored_mask] = blocks_a.const_outliers
     const_b[~blocks_b.stored_mask] = blocks_b.const_outliers
-    new_outliers[both_const] = ensure_quantized_range(
+    const = ensure_quantized_range(
         const_a[both_const] + sign * const_b[both_const],
         "compressed-domain combine (constant blocks)",
     )
 
+    q_sel = np.zeros(0, dtype=np.int64)
     if any_stored.any():
-        qa = _full_quantized(blocks_a, lens)
-        qb = _full_quantized(blocks_b, lens)
         # Combined bins must re-enter the |q| < Q_LIMIT band: without the
-        # gate, adjacent near-limit bins make the Lorenzo deltas below
-        # (differences of two combined bins) wrap int64 and the re-encoded
+        # gate, adjacent near-limit bins make the Lorenzo deltas of the
+        # re-encode (differences of two combined bins) wrap int64 and the
         # stream silently decodes to garbage.
         qc = ensure_quantized_range(
-            qa + sign * qb, "compressed-domain combine"
+            blocks_a.expand(lens) + sign * blocks_b.expand(lens),
+            "compressed-domain combine",
         )
         q_sel = qc[np.repeat(any_stored, lens)]
-        # The selected blocks keep the one ragged block last: a layout.
-        front = encode_bins(q_sel, a.block_size)
-        new_outliers[any_stored] = front.outliers
-        new_widths[any_stored] = front.widths
-        sign_bytes, payload_bytes = encode_block_sections(
-            front.mags, front.signs, front.widths, lens[any_stored]
-        )
-    else:
-        sign_bytes = np.zeros(0, dtype=np.uint8)
-        payload_bytes = np.zeros(0, dtype=np.uint8)
-
-    return SZOpsCompressed(
-        shape=a.shape,
-        dtype=a.dtype,
-        eps=a.eps,
-        block_size=a.block_size,
-        widths=new_widths,
-        outliers=new_outliers,
-        sign_bytes=sign_bytes,
-        payload_bytes=payload_bytes,
-    )
+    # The selected blocks keep the one ragged block last: a layout.
+    combined = StoredBlocks(q_sel, lens[any_stored], any_stored, const, lens[both_const])
+    return rebuild_stored(a, combined, q_sel, const)
 
 
 def add(a: SZOpsCompressed, b: SZOpsCompressed) -> SZOpsCompressed:
@@ -153,8 +119,8 @@ def _combined_sq_sum(a: SZOpsCompressed, b: SZOpsCompressed, sign: int) -> int:
     """``Σ(q_a + sign·q_b)²`` exactly (``|q_a ± q_b| < 2^63`` fits int64)."""
     _require_compatible(a, b)
     lens = a.layout.lengths()
-    qa = _full_quantized(stored_quantized(a), lens)
-    qb = _full_quantized(stored_quantized(b), lens)
+    qa = stored_quantized(a).expand(lens)
+    qb = stored_quantized(b).expand(lens)
     return QuantizedMoments.of_values(qa + qb if sign > 0 else qa - qb).s2
 
 

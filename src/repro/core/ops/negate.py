@@ -12,6 +12,8 @@ same ``eps`` the input stream carried.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.format import SZOpsCompressed
@@ -35,16 +37,18 @@ def _flip_sign_bits(sign_bytes: np.ndarray, n_bits: int) -> np.ndarray:
     return flipped
 
 
-def negate(c: SZOpsCompressed, inplace: bool = False) -> SZOpsCompressed:
+def negate(c: SZOpsCompressed) -> SZOpsCompressed:
     """Return a compressed stream representing the elementwise negation.
 
     Cost: O(n_blocks) for the outlier plane plus O(sign-section bytes) for
     the bitmap flip — a small, fixed fraction of the compressed size and
     independent of the payload, which is why Figure 5/6 show negation as
-    the fastest SZOps operation.
+    the fastest SZOps operation.  The result shares the width and payload
+    planes with ``c``.
     """
-    out = c if inplace else c.copy()
-    n_sign_bits = int(out.stored_lengths().sum())
-    np.negative(out.outliers, out=out.outliers)
-    out.sign_bytes = _flip_sign_bits(out.sign_bytes, n_sign_bits)
-    return out
+    n_sign_bits = int(c.stored_lengths().sum())
+    return replace(
+        c,
+        outliers=-c.outliers,
+        sign_bytes=_flip_sign_bits(c.sign_bytes, n_sign_bits),
+    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bitstream import exclusive_cumsum
 from repro.core.format import SZOpsCompressed
 from repro.core.ops._partial import stored_quantized
 
@@ -48,6 +49,10 @@ ERROR_PROPAGATION = {
     "maximum": "computation",
     "value_range": "computation",
 }
+
+_I64_MAX = (1 << 63) - 1
+#: Largest magnitude below which every integer is exact in float64.
+_F64_EXACT = 1 << 53
 
 
 def _finish(c: SZOpsCompressed, reduction: str, ddof: int = 0) -> float:
@@ -76,26 +81,34 @@ def block_means(c: SZOpsCompressed) -> np.ndarray:
     """Per-block means — the paper notes the mean kernel supports these too.
 
     Returns a float64 array of length ``c.n_blocks`` where entry ``b`` is
-    the mean of the elements of block ``b`` in the represented array.
+    the mean of the elements of block ``b`` in the represented array, bit
+    for bit what :func:`mean` returns for that block alone: the block sum
+    is an exact integer and ``sum / len`` is rounded once.
     """
     blocks = stored_quantized(c)
-    layout = c.layout
-    lens = layout.lengths().astype(np.float64)
-    sums = np.empty(layout.n_blocks, dtype=np.float64)
-    if blocks.const_outliers.size:
-        # Widen before multiplying: outlier * block-length products of two
-        # int64 planes can exceed int64 near the Q_LIMIT guard.
-        sums[~blocks.stored_mask] = (
-            blocks.const_outliers.astype(np.float64) * blocks.const_lens
-        )
+    means = np.empty(c.n_blocks, dtype=np.float64)
+    # A constant block's mean is its outlier: no outlier·len/len product.
+    means[~blocks.stored_mask] = blocks.const_outliers
     if blocks.q.size:
-        from repro.bitstream import exclusive_cumsum
+        means[blocks.stored_mask] = _exact_block_means(blocks.q, blocks.lens)
+    with np.errstate(over="ignore"):  # inf where the scalar mean is inf too
+        return 2.0 * c.eps * means
 
-        starts = exclusive_cumsum(blocks.lens)
-        sums[blocks.stored_mask] = np.add.reduceat(
-            blocks.q.astype(np.float64), starts
-        )
-    return 2.0 * c.eps * (sums / lens)
+
+def _exact_block_means(q: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Correctly rounded ``Σq / len`` of each consecutive block of ``q``."""
+    starts = exclusive_cumsum(lens)
+    if max(int(q.max()), -int(q.min())) * int(lens.max()) <= _I64_MAX:
+        sums = np.add.reduceat(q, starts)
+    else:  # 32-bit halves: each half's block sum fits int64; join as Python ints
+        hi = np.add.reduceat(q >> 32, starts).astype(object)
+        sums = hi * (1 << 32) + np.add.reduceat(q & 0xFFFFFFFF, starts)
+    means = (sums / lens).astype(np.float64)
+    # float64 division rounds once only while the sum is exact in float64;
+    # object (Python int) division is correctly rounded for any size
+    big = np.flatnonzero((sums > _F64_EXACT) | (sums < -_F64_EXACT))
+    means[big] = (sums[big].astype(object) / lens[big]).astype(np.float64)
+    return means
 
 
 def summary_statistics(c: SZOpsCompressed, ddof: int = 0) -> dict[str, float]:

@@ -25,11 +25,10 @@ paper claims.  DESIGN.md records this deviation.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
-from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
-from repro.core.ops._partial import Q_LIMIT
+from repro.core.ops._partial import ensure_quantized_range
 from repro.core.quantize import dequantize_scalar, quantize_scalar
 
 __all__ = [
@@ -53,43 +52,33 @@ def quantized_scalar_shift(s: float, eps: float) -> tuple[int, float]:
     return rho, dequantize_scalar(rho, eps)
 
 
-def shift_outliers(out: SZOpsCompressed, rho: int) -> None:
-    """Shift the outlier plane by ``rho`` bins, guarding int64 overflow.
+def shift_outliers(c: SZOpsCompressed, rho: int) -> SZOpsCompressed:
+    """``c`` with its outlier plane shifted by ``rho`` bins, guarding int64 overflow.
 
     The outlier plane holds quantized first values, guarded to
     ``|q| < Q_LIMIT`` at compression time; an unchecked shift by a huge
     quantized scalar could wrap int64 and decode to a valid-looking stream
-    representing garbage.  Shared by the eager kernels below and the lazy
-    fusion runtime so both paths fail identically.
+    representing garbage.  The widths, signs and payload are shared with
+    ``c``.  Shared by the eager kernels below and the lazy fusion runtime
+    so both paths fail identically.
     """
-    rho = int(rho)
-    if rho == 0 or not out.outliers.size:
-        return
-    peak = int(np.abs(out.outliers).max()) + abs(rho)
-    if peak >= int(Q_LIMIT):
-        raise OperationError(
-            "scalar shift overflows the quantized integer range; use a "
-            "larger error bound or a smaller scalar"
-        )
-    out.outliers += rho  # szops: ignore[SZL001] -- peak bounded by Q_LIMIT above
+    if not rho:
+        return c
+    return replace(c, outliers=ensure_quantized_range(c.outliers, "scalar shift", rho))
 
 
-def scalar_add(c: SZOpsCompressed, s: float, inplace: bool = False) -> SZOpsCompressed:
+def scalar_add(c: SZOpsCompressed, s: float) -> SZOpsCompressed:
     """Add the scalar ``s`` to every element, in fully compressed space.
 
     Cost: one integer add over the outlier plane — O(n_blocks), independent
     of the array size and of the payload, the cheapest operation after
     negation in Figures 5/6.
     """
-    out = c if inplace else c.copy()
-    rho, _ = quantized_scalar_shift(s, out.eps)
-    shift_outliers(out, rho)
-    return out
+    rho, _ = quantized_scalar_shift(s, c.eps)
+    return shift_outliers(c, rho)
 
 
-def scalar_subtract(
-    c: SZOpsCompressed, s: float, inplace: bool = False
-) -> SZOpsCompressed:
+def scalar_subtract(c: SZOpsCompressed, s: float) -> SZOpsCompressed:
     """Subtract the scalar ``s`` from every element (Section V-A.3).
 
     Mirrors :func:`scalar_add` with the quantized scalar *deducted* from the
@@ -98,15 +87,6 @@ def scalar_subtract(
     ``floor((-s+eps)/2eps) != -floor((s+eps)/2eps)`` in general; both
     readings stay within the error bound).
     """
-    out = c if inplace else c.copy()
-    rho, _ = quantized_scalar_shift(s, out.eps)
-    shift_outliers(out, -rho)
-    return out
+    rho, _ = quantized_scalar_shift(s, c.eps)
+    return shift_outliers(c, -rho)
 
-
-def _require_same_geometry(a: SZOpsCompressed, b: SZOpsCompressed) -> None:
-    if a.shape != b.shape or a.block_size != b.block_size:
-        raise OperationError(
-            "compressed operands must share shape and block size; got "
-            f"{a.shape}/{a.block_size} vs {b.shape}/{b.block_size}"
-        )

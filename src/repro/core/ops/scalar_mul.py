@@ -28,7 +28,7 @@ from repro.core.format import SZOpsCompressed
 from repro.core.ops._partial import rebuild_stored, requantize, stored_quantized
 from repro.core.ops.scalar_add import quantized_scalar_shift
 
-__all__ = ["scalar_multiply"]
+__all__ = ["scalar_multiply", "quantized_factor"]
 
 #: How each exported operation propagates the stream's error bound
 #: (vocabulary in docs/ANALYSIS.md, checked by lint rule SZL005).
@@ -49,15 +49,20 @@ def scalar_multiply(c: SZOpsCompressed, s: float) -> SZOpsCompressed:
     range.  ``s = 0`` is well-defined and yields an all-constant zero
     stream.
     """
-    try:
-        _, s_rep = quantized_scalar_shift(s, c.eps)
-    except (OverflowError, ValueError) as exc:
-        raise OperationError(
-            f"scalar {s!r} cannot be quantized at eps {c.eps!r}: {exc}"
-        ) from None
+    s_rep = quantized_factor(s, c.eps)
     blocks = stored_quantized(c)
     # Constant blocks: O(1) per block, no payload involved; stored blocks
     # are decoded, scaled in the quantized integer domain, and re-encoded.
     const_outliers = requantize(blocks.const_outliers, s_rep)
     q_new = requantize(blocks.q, s_rep)
     return rebuild_stored(c, blocks, q_new, const_outliers)
+
+
+def quantized_factor(s: float, eps: float) -> float:
+    """The representative ``2·eps·ρ_s`` a multiplication by ``s`` applies."""
+    try:
+        return quantized_scalar_shift(s, eps)[1]
+    except (OverflowError, ValueError) as exc:
+        raise OperationError(
+            f"scalar {s!r} cannot be quantized at eps {eps!r}: {exc}"
+        ) from None

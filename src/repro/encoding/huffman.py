@@ -119,10 +119,6 @@ class HuffmanCodebook:
         lengths = np.asarray(lengths, dtype=np.uint8)
         return cls(lengths=lengths, codes=_canonical_codes(lengths))
 
-    @property
-    def alphabet_size(self) -> int:
-        return int(self.lengths.size)
-
     def serialized_lengths(self) -> bytes:
         """Length table as raw bytes (callers typically DEFLATE this)."""
         return self.lengths.tobytes()

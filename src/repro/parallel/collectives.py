@@ -76,10 +76,31 @@ def compressed_stats_allreduce(comm: SimComm, c: SZOpsCompressed) -> dict[str, f
 def traditional_stats_allreduce(
     comm: SimComm, codec: SZOps, c: SZOpsCompressed
 ) -> dict[str, float]:
-    """The baseline path: every rank fully decompresses before reducing."""
+    """The baseline path: every rank fully decompresses before reducing.
+
+    Ranks merge ``(n, mean, M2)`` with Chan's pairwise update, so the
+    variance matches ``np.var`` of the gathered decompressed data without
+    the cancellation of ``s2/n − mean²``.  The remaining gap to
+    :func:`compressed_stats_allreduce` (~1e-7 relative for float32) is not
+    an error: this path reduces the decompressed output rounded to the
+    stream's dtype, the compressed path the exact values ``2·eps·q``.
+    """
     data = codec.decompress(c).astype(np.float64).ravel()
-    local = (float(data.sum()), float(np.dot(data, data)), data.size)
-    s, s2, n = comm.allreduce(local, lambda a, b: tuple(x + y for x, y in zip(a, b)))
-    mean = s / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return {"mean": mean, "variance": var, "std": float(np.sqrt(var)), "count": n}
+    mean = float(data.mean()) if data.size else 0.0
+    local = (data.size, mean, float(np.sum((data - mean) ** 2)))
+    n, mean, m2 = comm.allreduce(local, _chan_merge)
+    var = m2 / n
+    return {"mean": mean, "variance": var, "std": math.sqrt(var), "count": n}
+
+
+def _chan_merge(
+    a: tuple[int, float, float], b: tuple[int, float, float]
+) -> tuple[int, float, float]:
+    """Merge two ``(n, mean, M2)`` partials (Chan, Golub and LeVeque)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    if not n:
+        return a
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n

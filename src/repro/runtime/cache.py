@@ -11,10 +11,12 @@ operation after the first reuses the decoded quantized view.
 
 Correctness model
 -----------------
-* The key hashes the *content* of all four planes plus the header, so two
-  containers with equal bytes share an entry, and mutating a container in
-  place changes its key — stale entries are never returned, they merely age
-  out of the LRU.
+* Containers are immutable: every plane is read-only from construction
+  on, so a key can never go stale.  The key hashes the *content* of all
+  four planes plus the header, so two containers with equal bytes (the
+  store's copy and a parsed copy of the same stream, say) share an entry.
+  Each container computes its digest once and keeps it, so a hit costs a
+  field read and a dict lookup, not a pass over the stream.
 * Cached arrays are marked read-only before insertion.  All in-tree
   consumers (reductions, scalar multiply, multivariate ops, collectives)
   treat :class:`StoredBlocks` as immutable; external writers get a loud
@@ -31,7 +33,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from repro.core.format import SZOpsCompressed
@@ -66,26 +68,12 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-def _blocks_nbytes(blocks: StoredBlocks) -> int:
-    return int(
-        blocks.q.nbytes
-        + blocks.lens.nbytes
-        + blocks.stored_mask.nbytes
-        + blocks.const_outliers.nbytes
-        + blocks.const_lens.nbytes
-    )
-
-
-def _freeze(blocks: StoredBlocks) -> StoredBlocks:
-    for arr in (
-        blocks.q,
-        blocks.lens,
-        blocks.stored_mask,
-        blocks.const_outliers,
-        blocks.const_lens,
-    ):
+def _freeze(blocks: StoredBlocks) -> int:
+    """Mark every array of ``blocks`` read-only; returns their total bytes."""
+    arrays = [getattr(blocks, f.name) for f in fields(blocks)]
+    for arr in arrays:
         arr.setflags(write=False)
-    return blocks
+    return sum(arr.nbytes for arr in arrays)
 
 
 class DecodedBlockCache:
@@ -128,8 +116,8 @@ class DecodedBlockCache:
                 self.stats.hits += 1
                 return entry[0]
             self.stats.misses += 1
-        blocks = _freeze(decode_stored_blocks(c))
-        size = _blocks_nbytes(blocks)
+        blocks = decode_stored_blocks(c)
+        size = _freeze(blocks)
         if size > self.max_bytes:
             return blocks
         with self._lock:

@@ -54,21 +54,21 @@ from repro.core.moments import QuantizedMoments
 from repro.core.ops._partial import (
     Q_LIMIT,
     StoredBlocks,
+    ensure_quantized_range,
+    range_overflow,
     rebuild_stored,
     requantize,
     stored_quantized,
 )
 from repro.core.ops.negate import negate as eager_negate
-from repro.core.ops.scalar_add import quantized_scalar_shift, shift_outliers
+from repro.core.ops.scalar_add import shift_outliers
+from repro.core.ops.scalar_mul import quantized_factor
 from repro.core.quantize import dequantize, quantize_scalar
 from repro.runtime.reduce import Executor, chunked_moments
 
 __all__ = ["LazyStream", "IntAffine", "Requantize", "lazy"]
 
-_SHIFT_OVERFLOW = (
-    "fused scalar shift overflows the quantized integer range; "
-    "use a larger error bound or a smaller scalar"
-)
+_FUSED_SHIFT = "fused scalar shift"
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,10 @@ class IntAffine:
     shift: int
 
     def apply(self, q: np.ndarray) -> np.ndarray:
-        out = -q if self.sigma < 0 else q.copy()
-        shift = int(self.shift)
-        if shift and out.size:
-            # Same guard as shift_outliers: a fused chain can accumulate a
-            # shift the eager path would have rejected step by step, and an
-            # unguarded += here wraps int64 silently instead of raising.
-            if int(np.abs(out).max()) + abs(shift) >= int(Q_LIMIT):
-                raise OperationError(_SHIFT_OVERFLOW)
-            out += shift
-        return out
+        # The shift_outliers guard: a fused chain can accumulate a shift the
+        # eager path would have rejected step by step.
+        out = -q if self.sigma < 0 else q
+        return ensure_quantized_range(out, _FUSED_SHIFT, self.shift)
 
     def apply_moments(self, m: QuantizedMoments) -> QuantizedMoments:
         """Exact moments of ``sigma*q + shift`` from those of ``q``.
@@ -98,7 +92,7 @@ class IntAffine:
         shift = int(self.shift)
         s1, lo, hi = (-m.s1, -m.hi, -m.lo) if self.sigma < 0 else (m.s1, m.lo, m.hi)
         if shift and m.n and max(hi, -lo) + abs(shift) >= int(Q_LIMIT):
-            raise OperationError(_SHIFT_OVERFLOW)
+            raise range_overflow(_FUSED_SHIFT)
         n = m.n
         s2 = m.s2 + 2 * shift * s1 + n * shift * shift
         return QuantizedMoments(s1 + n * shift, s2, lo + shift, hi + shift, n)
@@ -205,12 +199,7 @@ class LazyStream:
 
     def scalar_multiply(self, s: float) -> "LazyStream":
         """Fuse ``* s``.  Overflow is checked when the chain is forced."""
-        try:
-            _, s_rep = quantized_scalar_shift(s, self.base.eps)
-        except (OverflowError, ValueError) as exc:
-            raise OperationError(
-                f"scalar {s!r} cannot be quantized at eps {self.base.eps!r}: {exc}"
-            ) from None
+        s_rep = quantized_factor(s, self.base.eps)
         return LazyStream(self.base, self.steps + (Requantize(s_rep),))
 
     def apply(self, name: str, scalar: float | None = None) -> "LazyStream":
@@ -254,19 +243,15 @@ class LazyStream:
         the stored blocks once and re-encodes once.
         """
         if not self.steps:
-            return self.base.copy()
+            return self.base
         if all(isinstance(s, IntAffine) for s in self.steps):
             # Folding leaves at most one IntAffine between barriers, and no
             # barriers exist here — a single compressed-space application.
             (step,) = self.steps
-            out = eager_negate(self.base) if step.sigma < 0 else self.base.copy()
-            if step.shift:
-                shift_outliers(out, step.shift)
-            return out
+            out = eager_negate(self.base) if step.sigma < 0 else self.base
+            return shift_outliers(out, step.shift)
         blocks = self._transformed_blocks()
         return rebuild_stored(self.base, blocks, blocks.q, blocks.const_outliers)
-
-    collapse = materialize
 
     # ------------------------------------------------------------------ reductions
 
@@ -321,16 +306,7 @@ class LazyStream:
 
     def quantized(self) -> np.ndarray:
         """Transformed quantized integers in element order (no encode)."""
-        blocks = self._transformed_blocks()
-        lens = self.base.layout.lengths()
-        n = int(lens.sum())
-        q = np.empty(n, dtype=np.int64)
-        stored_elems = np.repeat(blocks.stored_mask, lens)
-        if blocks.q.size:
-            q[stored_elems] = blocks.q
-        if blocks.const_outliers.size:
-            q[~stored_elems] = np.repeat(blocks.const_outliers, blocks.const_lens)
-        return q
+        return self._transformed_blocks().expand(self.base.layout.lengths())
 
     def decompress(self) -> np.ndarray:
         """Float reconstruction of the transformed stream (no encode)."""

@@ -11,7 +11,9 @@ This module closes both gaps without giving up the eager semantics:
   fingerprint + version + exact chain) matches an in-flight computation
   attach to its future instead of recomputing.  Content fingerprints
   make this sound: equal key ⇒ equal bytes in, equal chain ⇒ equal
-  bytes out.  One decode + one encode serves the whole flight.
+  bytes out.  One decode + one encode serves the whole flight.  The
+  fingerprint is the stored container's memoised digest, so a key is
+  built without hashing the stream.
 * **Same-array grouping** — distinct chains over the same array that
   arrive inside one batching window execute in a single executor job,
   back to back, so the first chain's decode (kept by the decoded-block

@@ -443,8 +443,9 @@ class ServiceServer:
             return _materialize_chain(entry.container, request.steps).to_bytes()
 
         if self.config.batching:
-            key = self._batch_key(entry.fingerprint, request.steps, "op")
-            blob = await self.batcher.submit(key, entry.fingerprint, compute)
+            fingerprint = entry.container.content_fingerprint()
+            key = self._batch_key(fingerprint, request.steps, "op")
+            blob = await self.batcher.submit(key, fingerprint, compute)
         else:
             loop = asyncio.get_running_loop()
             blob = await loop.run_in_executor(self.pool, compute)
@@ -478,10 +479,11 @@ class ServiceServer:
             )
 
         if self.config.batching:
+            fingerprint = entry.container.content_fingerprint()
             key = self._batch_key(
-                entry.fingerprint, request.steps, f"reduce:{request.reduction}"
+                fingerprint, request.steps, f"reduce:{request.reduction}"
             )
-            value = await self.batcher.submit(key, entry.fingerprint, compute)
+            value = await self.batcher.submit(key, fingerprint, compute)
         else:
             loop = asyncio.get_running_loop()
             value = await loop.run_in_executor(self.pool, compute)

@@ -132,7 +132,6 @@ class StoredEntry:
     version: int
     blob: bytes
     container: SZOpsCompressed
-    fingerprint: str
     stored_at: float
 
     @property
@@ -199,7 +198,9 @@ class CompressedArrayStore:
                 self._counters["puts"] += 1
                 self._counters["rejects"] += 1
             raise
-        fingerprint = container.content_fingerprint()
+        # Prime the container's memoised digest outside the lock: every
+        # later cache lookup and batch key reads it in O(1).
+        container.content_fingerprint()
         entry_blob = bytes(blob)
         now = time.monotonic()
         with self._lock:
@@ -211,7 +212,6 @@ class CompressedArrayStore:
                 version=version,
                 blob=entry_blob,
                 container=container,
-                fingerprint=fingerprint,
                 stored_at=now,
             )
             self._entries[(name, version)] = entry

@@ -150,10 +150,6 @@ class Telemetry:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def keyed_counter(self, group: str, key: str) -> int:
-        with self._lock:
-            return self._keyed.get(group, {}).get(key, 0)
-
     def snapshot(self, extra: Mapping[str, object] | None = None) -> dict[str, object]:
         """One consistent JSON-able view of every metric.
 

@@ -157,6 +157,7 @@ _POSITIVE_CORPUS = {
     "tnt001_pos": {"TNT001"},
     "tnt002_pos": {"TNT002"},
     "szl101_pos": {"SZL101"},
+    "szl101_minmax_pos": {"SZL101"},
     "szl102_pos": {"SZL102"},
     # the NaN-slipping comparisons are also what the syntactic SZL003 flags
     "szl102_minmax_pos": {"SZL102", "SZL003"},

@@ -40,6 +40,16 @@ def test_szl101_peak_guard_protocol_is_proven_safe() -> None:
     assert range_findings(path, src) == []
 
 
+def test_szl101_minmax_peak_guard_is_proven_safe() -> None:
+    path, src = _fixture("szl101_minmax_neg")
+    assert range_findings(path, src) == []
+
+
+def test_szl101_minmax_guard_over_another_plane_fires() -> None:
+    path, src = _fixture("szl101_minmax_pos")
+    assert [f.rule for f in range_findings(path, src)] == ["SZL101"]
+
+
 def test_szl102_unguarded_cast_fires() -> None:
     path, src = _fixture("szl102_pos")
     findings = range_findings(path, src)

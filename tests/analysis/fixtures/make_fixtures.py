@@ -26,6 +26,7 @@ szp_bad_lengths.bin               VS006   SZp length plane disagrees with
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,9 @@ def main() -> None:
 
     # Raise one *stored* block's width to 33 by editing the container, so
     # the serialized stream is self-consistent apart from the width cap.
-    wide = c.copy()
-    stored_idx = int(np.flatnonzero(wide.widths > 0)[3])
-    wide.widths[stored_idx] = 33
+    widths = c.widths.copy()
+    widths[int(np.flatnonzero(widths > 0)[3])] = 33
+    wide = replace(c, widths=widths)
     (HERE / "width33.bin").write_bytes(wide.to_bytes())
 
     # Overwrite the sign-section size (u64) with a value whose top bit is

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,7 +236,9 @@ class TestDecodeEquivalence:
         )
         # every sign set: 2**63 must come back as INT64_MIN
         stored_bits = 8 * 4
-        c.sign_bytes[: stored_bits // 8] = 0xFF
+        signs = c.sign_bytes.copy()
+        signs[: stored_bits // 8] = 0xFF
+        c = replace(c, sign_bytes=signs)
         q = codecs(8, n_threads).decompress_quantized(c)
         deltas = np.diff(q[8:16], prepend=c.outliers[1])
         assert deltas[1] == np.iinfo(np.int64).min
@@ -248,7 +251,7 @@ class TestDecodeEquivalence:
         c = build_stream(
             [3, 3], 8, 0, seed=2, block_start_deltas=True, magnitudes={0: mags},
         )
-        c.sign_bytes[:] = 0
+        c = replace(c, sign_bytes=np.zeros_like(c.sign_bytes))
         q = codecs(8, n_threads).decompress_quantized(c)
         assert q[0] == c.outliers[0] + 5
         assert q[1] == c.outliers[0] + 6

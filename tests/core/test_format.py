@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,27 +79,27 @@ class TestStructure:
         container.validate_structure()
 
     def test_validate_rejects_wrong_width_count(self, container):
-        broken = container.copy()
-        broken.widths = broken.widths[:-1]
+        broken = replace(container, widths=container.widths[:-1])
         with pytest.raises(FormatError):
             broken.validate_structure()
 
     def test_validate_rejects_short_payload(self, container):
-        broken = container.copy()
-        broken.payload_bytes = broken.payload_bytes[: broken.payload_bytes.size // 2]
+        payload = container.payload_bytes
+        broken = replace(container, payload_bytes=payload[: payload.size // 2])
         with pytest.raises(FormatError, match="payload"):
             broken.validate_structure()
 
     def test_validate_rejects_short_signs(self, container):
-        broken = container.copy()
-        broken.sign_bytes = broken.sign_bytes[:1]
+        broken = replace(container, sign_bytes=container.sign_bytes[:1])
         with pytest.raises(FormatError, match="sign"):
             broken.validate_structure()
 
     def test_copy_is_deep(self, container):
-        dup = container.copy()
-        dup.outliers += 1
-        assert not np.array_equal(dup.outliers, container.outliers)
+        """A plane handed over as a view of writable memory is copied."""
+        scratch = np.append(container.outliers, 0)
+        dup = replace(container, outliers=scratch[:-1])
+        scratch[0] += 1
+        assert np.array_equal(dup.outliers, container.outliers)
 
     def test_geometry_properties(self, codec, smooth_3d):
         c = codec.compress(smooth_3d, 1e-4)

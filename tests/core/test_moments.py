@@ -270,6 +270,36 @@ def test_fused_prefix_moments_match_the_transformed_bins(field, shift):
         assert getattr(chain, r)() == reference(q, c.eps, r)
 
 
+@given(field=bin_fields())
+def test_block_means_match_one_block_moments(field):
+    """Every block_means entry is bit for bit the mean of that block alone."""
+    c, q = field
+    got = ops.block_means(c)
+    for b, (start, length) in enumerate(zip(c.layout.starts(), c.layout.lengths())):
+        block = q[start : start + length]
+        assert got[b] == QuantizedMoments.of_values(block).finish("mean", c.eps), b
+
+
+@pytest.mark.parametrize("big", [2**60, 2**56])
+def test_block_means_do_not_cancel(big):
+    """A block of ±big bins whose float64 sum cancels has mean 0.5.
+
+    ``64·2^60`` overflows int64 and ``64·2^56`` does not: both sum paths.
+    """
+    q = np.array([big, 1, -big, 1] * 16, dtype=np.int64)
+    c = SZOps().encode_quantized(q, q.shape, np.dtype(np.float64), 0.5)
+    assert ops.block_means(c)[0] == ops.mean(c) == 0.5
+
+
+def test_block_means_round_once():
+    """A 24-bin block summing to 2^54 + 1: ``float(sum) / 24`` rounds twice."""
+    q = np.full(24, (2**54 + 1) // 24, dtype=np.int64)
+    q[0] += (2**54 + 1) % 24
+    c = SZOps(block_size=24).encode_quantized(q, q.shape, np.dtype(np.float64), 0.5)
+    assert float(2**54 + 1) / 24 != (2**54 + 1) / 24
+    assert ops.block_means(c)[0] == ops.mean(c) == (2**54 + 1) / 24
+
+
 def test_motivation_reproduction_is_exact_on_every_path(backends, cluster):
     """2^20 float32 values of 290 ± 0.5 at eps 1e-4: Σq² is above 2^53."""
     data = (290 + np.random.default_rng(0).uniform(-0.5, 0.5, 2**20)).astype(np.float32)

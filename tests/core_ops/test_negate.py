@@ -31,13 +31,6 @@ class TestNegation:
         n = ops.negate(c)
         assert np.array_equal(n.outliers, -c.outliers)
 
-    def test_inplace(self, codec, smooth_1d):
-        c = codec.compress(smooth_1d, 1e-3)
-        x = codec.decompress(c)
-        out = ops.negate(c, inplace=True)
-        assert out is c
-        assert np.array_equal(codec.decompress(c), -x)
-
     def test_not_inplace_by_default(self, codec, smooth_1d):
         c = codec.compress(smooth_1d, 1e-3)
         before = c.to_bytes()

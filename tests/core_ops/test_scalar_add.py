@@ -35,11 +35,6 @@ class TestScalarAdd:
         back = ops.scalar_subtract(ops.scalar_add(c, 7.3), 7.3)
         assert back.to_bytes() == c.to_bytes()
 
-    def test_inplace(self, codec, smooth_1d):
-        c = codec.compress(smooth_1d, 1e-3)
-        out = ops.scalar_add(c, 1.0, inplace=True)
-        assert out is c
-
     @given(
         s=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
         eps_exp=st.integers(min_value=-5, max_value=-1),

@@ -38,7 +38,7 @@ class TestOperationEquivalence:
         scalar = 3.14 if OPERATIONS[op].needs_scalar else None
         x_hat = codec.decompress(c).astype(np.float64)
         reference = numpy_reference_op(x_hat, op, scalar)
-        result = ops.apply_operation(c.copy(), op, scalar)
+        result = ops.apply_operation(c, op, scalar)
         if OPERATIONS[op].result == "computation":
             assert result == pytest.approx(reference, rel=1e-6, abs=1e-10)
         else:
@@ -55,7 +55,7 @@ class TestOperationEquivalence:
     def test_ops_compose_through_serialization(self, compressed, op):
         codec, c = compressed
         scalar = 2.0 if OPERATIONS[op].needs_scalar else None
-        direct = ops.apply_operation(c.copy(), op, scalar)
+        direct = ops.apply_operation(c, op, scalar)
         via_bytes = ops.apply_operation(
             SZOpsCompressed.from_bytes(c.to_bytes()), op, scalar
         )
@@ -108,7 +108,7 @@ class TestMemoryBehaviour:
         """Compression-as-output ops yield streams of comparable size."""
         codec, c = compressed
         for op, scalar in [("negation", None), ("scalar_add", 5.0)]:
-            out = ops.apply_operation(c.copy(), op, scalar)
+            out = ops.apply_operation(c, op, scalar)
             # scalar_add can widen the serialized outlier plane (int16 ->
             # int32) when the shift pushes quantized firsts past 2**15.
             assert out.compressed_nbytes == pytest.approx(c.compressed_nbytes, rel=0.06)

@@ -78,6 +78,28 @@ class TestAllreduce:
         assert c_stats["variance"] == pytest.approx(t_stats["variance"], rel=1e-4)
         assert c_stats["std"] == pytest.approx(t_stats["std"], rel=1e-4)
 
+    def test_traditional_variance_does_not_cancel(self):
+        """The baseline's merged (n, mean, M2) matches np.var of the gathered data.
+
+        ``s2/n − mean²`` in float64 was off by ~7e-9 relative on this field.
+        """
+        data = (290 + np.random.default_rng(0).uniform(-0.5, 0.5, 2**20)).astype(
+            np.float32
+        )
+        codec = SZOps()
+        blobs = [codec.compress(part, 1e-4) for part in np.array_split(data, 4)]
+        gathered = np.concatenate(
+            [codec.decompress(b).astype(np.float64) for b in blobs]
+        )
+
+        def traditional(comm):
+            return traditional_stats_allreduce(comm, codec, blobs[comm.rank])
+
+        stats = run_spmd(4, traditional)[0]
+        assert stats["count"] == gathered.size
+        assert stats["mean"] == pytest.approx(float(np.mean(gathered)), rel=1e-12)
+        assert stats["variance"] == pytest.approx(float(np.var(gathered)), rel=1e-12)
+
     def test_mixed_error_bounds_across_ranks(self, rank_data):
         """Moments are in value units, so ranks may use different bounds."""
         codec = SZOps()

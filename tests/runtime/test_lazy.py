@@ -14,6 +14,7 @@ import pytest
 
 from repro import ops
 from repro.core.errors import OperationError
+from repro.core.moments import QuantizedMoments
 from repro.runtime import IntAffine, LazyStream, Requantize, lazy
 
 # Chains expressed as apply_chain specs; every fusable op appears, alone and
@@ -123,9 +124,10 @@ class TestBitIdentity:
         assert out.shape == c.shape
         assert out.to_bytes() == eager_replay(c, steps).to_bytes()
 
-    def test_empty_chain_materializes_a_copy(self, stream):
+    def test_empty_chain_materializes_the_base(self, stream):
+        # containers are immutable, so the identity chain needs no copy
         out = lazy(stream).materialize()
-        assert out is not stream
+        assert out is stream
         assert out.to_bytes() == stream.to_bytes()
 
     def test_base_is_never_mutated(self, stream):
@@ -194,6 +196,16 @@ class TestErrors:
             chain.materialize()
         with pytest.raises(OperationError, match="overflows"):
             chain.mean()
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_shift_guard_catches_int64_min(self, sigma):
+        """``np.abs`` wraps INT64_MIN to a negative; the guard must not."""
+        q = np.array([0, np.iinfo(np.int64).min + (sigma < 0)], dtype=np.int64)
+        step = IntAffine(sigma, 1)
+        with pytest.raises(OperationError, match="overflows"):
+            step.apply(q)
+        with pytest.raises(OperationError, match="overflows"):
+            step.apply_moments(QuantizedMoments.of_values(q))
 
     def test_variance_ddof_guard(self, stream):
         with pytest.raises(ValueError, match="ddof"):

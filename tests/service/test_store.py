@@ -35,7 +35,7 @@ def test_entries_are_immutable_snapshots(blob, compressed):
     store.put("U", blob)
     entry = store.get("U")
     assert entry.blob == blob
-    assert entry.fingerprint == compressed.content_fingerprint()
+    assert entry.container.content_fingerprint() == compressed.content_fingerprint()
     # A later version does not disturb the old one.
     store.put("U", blob)
     assert store.get("U", 1).blob == blob
