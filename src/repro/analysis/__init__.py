@@ -5,19 +5,22 @@ arithmetic, which makes silent numeric hazards — int64 overflow in the
 quantized domain, float64->float32 narrowing, NaN-unsafe comparisons —
 exactly the bugs the differential tests only catch probabilistically.  This
 package enforces the repository's format, numeric-safety, and concurrency
-invariants *statically*, as three passes:
+invariants *statically*:
 
-* :mod:`repro.analysis.linter` — ``szops-lint``, an AST linter with a
-  pluggable rule registry (:mod:`repro.analysis.rules`) encoding the repo
-  invariants as named rules SZL001–SZL006;
-* :mod:`repro.analysis.lockcheck` — a lock-discipline pass verifying that
-  every mutation of declared guarded attributes happens lexically inside
-  the matching ``with self._lock:`` block;
+* :func:`~repro.analysis.linter.analyze_paths` — the one source-analysis
+  driver.  Every call runs every pass over each file's single parse: the
+  syntactic ``szops-lint`` rules SZL000–SZL006
+  (:mod:`repro.analysis.rules`), the lock-discipline and lock-order rules
+  LCK001/LCK002 (:mod:`repro.analysis.dataflow.lockorder`), the
+  abstract-interpretation passes of :mod:`repro.analysis.dataflow`, and
+  the SZL099 stale-suppression check;
+* :func:`~repro.analysis.linter.lint_source` — the syntactic rules on one
+  in-memory module;
 * :mod:`repro.analysis.verify_stream` — a static container verifier that
   checks serialized SZOps / SZp streams without decompressing them.
 
 All passes emit structured :class:`~repro.analysis.findings.Finding`
-records with JSON and human renderings, and are wired into
+records with text, JSON and SARIF renderings, and are wired into
 ``python -m repro.cli lint`` / ``verify-stream`` and the CI lint gate.
 See ``docs/ANALYSIS.md`` for rule rationales and the suppression syntax
 (``# szops: ignore[SZL001]``).
@@ -32,8 +35,7 @@ from repro.analysis.findings import (
     render_sarif,
     render_text,
 )
-from repro.analysis.linter import analyze_paths, lint_paths, lint_source
-from repro.analysis.lockcheck import lockcheck_paths, lockcheck_source
+from repro.analysis.linter import analyze_paths, lint_source
 from repro.analysis.verify_stream import (
     STREAM_VERIFIERS,
     assert_stream_ok,
@@ -49,10 +51,7 @@ __all__ = [
     "render_sarif",
     "render_text",
     "analyze_paths",
-    "lint_paths",
     "lint_source",
-    "lockcheck_paths",
-    "lockcheck_source",
     "STREAM_VERIFIERS",
     "assert_stream_ok",
     "verify_file",

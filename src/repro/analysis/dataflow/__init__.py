@@ -1,29 +1,32 @@
 """Dataflow analysis engine: abstract interpretation for SZOps invariants.
 
-PR 2's ``szops-lint`` rules are syntactic: SZL001 pattern-matches AST
+The ``szops-lint`` rules are syntactic: SZL001 pattern-matches AST
 shapes ("an AugAssign on a quantized name without a widening cast") and
 must be suppressed at every site that *is* guarded, because a pattern
-matcher cannot see the guard.  This package upgrades the hot invariants to
-*dataflow-based* verification: a per-function abstract interpreter over
-the CPython AST (:mod:`~repro.analysis.dataflow.engine`) tracks value
-ranges, dtypes and symbolic guard facts through assignments, branches,
-loops and module-local calls (with call summaries), and four passes share
-it:
+matcher cannot see the guard.  This package adds *dataflow-based*
+verification of the hot invariants: a per-function abstract interpreter
+over the CPython AST (:mod:`~repro.analysis.dataflow.engine`) tracks
+value ranges, dtypes and symbolic guard facts through assignments,
+branches, loops and module-local calls (with call summaries), and the
+passes below share it:
 
 ``SZL101`` / ``SZL102`` (:mod:`~repro.analysis.dataflow.ranges`)
     value-range + dtype lattice proofs that quantized int64 arithmetic
     stays inside int64 given the ``|q| < Q_LIMIT`` invariant, and that
-    float → int casts are guarded (finite + bounded).  Supersedes the
-    syntactic SZL001/SZL002 when the dataflow suite runs.
+    float → int casts are guarded (finite + bounded).  They complement
+    the syntactic SZL001/SZL002, which still run: each pair sees shapes
+    the other does not.
 ``SZL103`` (:mod:`~repro.analysis.dataflow.errorprop`)
     rederives each registered operation's worst-case error-bound
     transformer from its kernel (composing the symbolic error effects of
     the quantization primitives it reaches) and cross-checks the module's
     declared ``ERROR_PROPAGATION`` mode.
-``LCK002`` (:mod:`~repro.analysis.dataflow.lockorder`)
-    builds the acquires-while-holding relation over every ``self._lock``
-    in the analyzed files and rejects cycles — including self-cycles,
-    since ``threading.Lock`` is not reentrant.
+``LCK001`` / ``LCK002`` (:mod:`~repro.analysis.dataflow.lockorder`)
+    one lexical held-lock walk: every mutation of a declared
+    ``_GUARDED_ATTRS`` attribute must hold ``self._lock`` (LCK001), and
+    the acquires-while-holding relation over every ``threading.Lock`` in
+    the analyzed files must be acyclic — including self-cycles, since
+    ``threading.Lock`` is not reentrant (LCK002).
 ``SHM001`` / ``SHM002`` (:mod:`~repro.analysis.dataflow.shmlife`)
     tracks ``ShmArena`` / ``SharedMemory(create=True)`` segments through
     acquire, use and release along all paths *including exception edges*,
@@ -52,8 +55,9 @@ it:
     MAX_STEPS discipline.
 
 All passes emit the shared :class:`~repro.analysis.findings.Finding`
-type, honor ``# szops: ignore[...]`` suppressions (applied by the linter
-driver), and run via ``python -m repro lint --dataflow``.  Soundness
+type, honor ``# szops: ignore[...]`` suppressions (applied by the
+:func:`~repro.analysis.linter.analyze_paths` driver), and run on every
+``python -m repro.cli lint``.  Soundness
 caveats (what the engine deliberately does not model) are documented in
 ``docs/ANALYSIS.md``.
 """
@@ -91,6 +95,7 @@ DATAFLOW_RULES = frozenset(
         "SZL101",
         "SZL102",
         "SZL103",
+        "LCK001",
         "LCK002",
         "SHM001",
         "SHM002",

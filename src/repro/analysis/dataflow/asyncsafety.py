@@ -64,6 +64,7 @@ from repro.analysis.dataflow.engine import (
     terminal_name,
 )
 from repro.analysis.dataflow.lattice import Value
+from repro.analysis.dataflow.lockorder import guarded_attrs
 from repro.analysis.findings import Finding
 
 __all__ = ["asyncsafety_findings", "AsyncSafetyPass"]
@@ -139,24 +140,6 @@ def _iter_own_nodes(fn_node: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(n))
 
 
-def _guarded_attrs(cls: ast.ClassDef) -> frozenset[str]:
-    """The ``_GUARDED_ATTRS = ("_a", "_b")`` declaration of a class."""
-    for item in cls.body:
-        if (
-            isinstance(item, ast.Assign)
-            and len(item.targets) == 1
-            and isinstance(item.targets[0], ast.Name)
-            and item.targets[0].id == "_GUARDED_ATTRS"
-            and isinstance(item.value, (ast.Tuple, ast.List, ast.Set))
-        ):
-            return frozenset(
-                e.value
-                for e in item.value.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            )
-    return frozenset()
-
-
 class AsyncSafetyPass(Interpreter):
     """ASY001–ASY004 (the path-sensitive rules; ASY005 is lexical)."""
 
@@ -171,9 +154,11 @@ class AsyncSafetyPass(Interpreter):
         source_path: str = "<module>",
     ) -> None:
         super().__init__(ctx, summaries, source_path=source_path)
-        self._guarded: dict[str, frozenset[str]] = {
-            name: _guarded_attrs(node) for name, node in ctx.classes.items()
-        }
+        self._guarded: dict[str, frozenset[str]] = {}
+        for name, node in ctx.classes.items():
+            decl = guarded_attrs(node)
+            if decl is not None:
+                self._guarded[name] = decl[1]
         self._cur_guarded: frozenset[str] = frozenset()
         self._epoch = 0
         self._stmt_epoch = 0

@@ -432,6 +432,15 @@ class Interpreter:
                 return Value(kind)
         return Value.obj()
 
+    def _seed_param(self, arg: ast.arg) -> Value:
+        """Entry value of a parameter no call site specialized."""
+        v = self.seed(arg.arg)
+        ann = arg.annotation
+        if isinstance(ann, ast.Name) and ann.id == "int" and not v.quantized:
+            # an ``int``-annotated parameter is what ``int(k)`` would give
+            return Value.pyint().with_tainted(v.tainted)
+        return v
+
     def check_int_arith(
         self,
         node: ast.AST,
@@ -580,18 +589,15 @@ class Interpreter:
         self.current = fn
         self._returns = []
         state = State()
-        argnames = [a.arg for a in fn.node.args.posonlyargs + fn.node.args.args]
-        for i, name in enumerate(argnames):
+        args = fn.node.args
+        for i, a in enumerate(args.posonlyargs + args.args + args.kwonlyargs):
+            name = a.arg
             if i == 0 and name == "self" and fn.class_name:
                 state.env["self"] = Value.obj(ctor=fn.class_name)
             elif params is not None and name in params:
                 state.env[name] = params[name]
             else:
-                state.env[name] = self.seed(name)
-        for a in fn.node.args.kwonlyargs:
-            state.env[a.arg] = (
-                params[a.arg] if params is not None and a.arg in params else self.seed(a.arg)
-            )
+                state.env[name] = self._seed_param(a)
         end = self.exec_block(fn.node.body, state)
         if end.reachable:
             self.on_function_end(end)

@@ -134,7 +134,7 @@ _FAMILY_ANCHORS: dict[str, str] = {
     "lint": "pass-1--szops-lint-rules-szl000szl006",
     "verify": "pass-2--verify-stream-rules-vs001vs008",
     "lockcheck": "pass-3--lockcheck-rule-lck001",
-    "dataflow": "pass-4--dataflow-rules-szl099-szl101szl103-lck002-shm001002",
+    "dataflow": "pass-4--abstract-interpretation-rules-szl099-szl101szl103-lck002-shm001002",
     "async": "pass-5--async-safety--untrusted-input-asy001asy005-tnt001002",
     "npa": "pass-6--numpy-array-semantics-npa001npa006",
 }

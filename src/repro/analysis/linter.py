@@ -1,8 +1,11 @@
-"""``szops-lint``: the AST linter driving the SZL rule registry.
+"""``szops-lint``: the one driver for every source-analysis pass.
 
 The driver owns everything rule-independent: file discovery, scope-tag
-computation, the suppression syntax, and report assembly.  Rules live in
-:mod:`repro.analysis.rules` and see parsed modules only.
+computation, the suppression syntax, and report assembly.
+:func:`analyze_paths` runs the SZL rule registry
+(:mod:`repro.analysis.rules`, which sees parsed modules only) together
+with the passes of :mod:`repro.analysis.dataflow`; :func:`lint_source`
+runs the rule registry alone on one in-memory module.
 
 Suppressions
 ------------
@@ -29,7 +32,6 @@ from repro.analysis.rules import ProjectContext, RuleContext, RuleSpec, all_rule
 
 __all__ = [
     "analyze_paths",
-    "lint_paths",
     "lint_source",
     "discover_files",
     "default_target",
@@ -227,84 +229,41 @@ def discover_files(paths: Sequence[Path]) -> list[Path]:
     return sorted(out)
 
 
-def lint_paths(
-    paths: Sequence[Path | str] | None = None,
-    select: Sequence[str] | None = None,
-) -> list[Finding]:
-    """Lint files/directories; defaults to the whole ``repro`` package.
-
-    Runs all file rules plus the project rules (SZL004 needs to see the
-    op modules and ``dispatch.py`` together).
-    """
-    targets = discover_files(
-        [Path(p) for p in paths] if paths else [default_target()]
-    )
-    findings: list[Finding] = []
-    sources: dict[Path, str] = {}
-    for path in targets:
-        try:
-            source = path.read_text()
-        except OSError as exc:
-            findings.append(
-                Finding(
-                    rule="SZL000",
-                    path=str(path),
-                    line=0,
-                    message=f"unreadable file: {exc}",
-                )
-            )
-            continue
-        sources[path] = source
-        findings.extend(lint_source(source, path, select=select))
-    project_ctx = ProjectContext(paths=targets, sources=sources)
-    for rule in _selected(all_rules(), select):
-        if rule.project_checker is not None:
-            project_findings = rule.project_checker(project_ctx)
-            # Project findings honour the suppression comments of the file
-            # they anchor to (line-granular, same as file rules).
-            by_path: dict[str, list[Finding]] = {}
-            for f in project_findings:
-                by_path.setdefault(f.path, []).append(f)
-            for fpath, fs in by_path.items():
-                src = sources.get(Path(fpath))
-                findings.extend(
-                    _apply_suppressions(fs, _suppressions(src)) if src else fs
-                )
-    return sort_findings(findings)
-
-
-#: Syntactic rules superseded by their path-sensitive dataflow upgrades.
-#: In a ``--dataflow`` run they are still *computed* — so their
-#: suppression comments count as used (plain runs need them) — but
-#: dropped from the report in favour of SZL101/SZL102 proofs.
-_SHADOWED_IN_DATAFLOW = frozenset({"SZL001", "SZL002"})
-
-
 def analyze_paths(
     paths: Sequence[Path | str] | None = None,
     select: Sequence[str] | None = None,
-    *,
-    dataflow: bool = False,
-    run_lockcheck: bool = True,
     changed: Sequence[Path | str] | None = None,
 ) -> list[Finding]:
-    """Run every analysis pass through one suppression-aware driver.
+    """Run every analysis pass over files/directories (default: ``repro``).
 
-    Unlike :func:`lint_paths` (kept stable as the plain ``lint`` entry
-    point), this routes the lexical lock checker (LCK001) and — with
-    ``dataflow=True`` — the abstract-interpretation passes (SZL101/102,
-    SZL103, LCK002, SHM001/002, ASY, TNT, NPA) through the same per-line
-    suppression machinery, tracks which suppression comments actually
-    fired, and on a full run reports stale ones as ``SZL099``.
+    Each file is parsed once and that tree feeds the syntactic SZL rules,
+    the dataflow passes (SZL101/102, SZL103, SHM, ASY, TNT, NPA) and the
+    cross-file passes (the SZL004 project rule, LCK001/LCK002).  Every
+    finding goes through the same per-line suppression machinery, which
+    records the suppression comments that fired; on a run without
+    ``select`` the idle ones are reported as ``SZL099``.
 
     ``changed`` enables incremental mode (``lint --changed``): every
-    target is still read and parsed — the cross-file passes (project
-    rules, LCK002 lock ordering) need the whole picture — but the
-    expensive per-file passes run only on the listed files, and the
-    report (including SZL099 stale-suppression accounting) is restricted
-    to them.  Per-file dataflow passes are module-local, so the result
-    equals a full run's findings filtered to the changed files.
+    target is still read and parsed — the cross-file passes need the
+    whole picture — but the per-file passes run only on the listed
+    files, and the report (including SZL099 stale-suppression accounting)
+    is restricted to them.  Per-file passes are module-local, so the
+    result equals a full run's findings filtered to the changed files.
     """
+    # Local import: ``repro.analysis`` is imported by the service's store
+    # (for the stream verifier), which must not pay for the interpreter.
+    from repro.analysis.dataflow import (
+        DATAFLOW_RULES,
+        asyncsafety_findings,
+        check_error_propagation,
+        lockorder_findings,
+        npa_findings,
+        range_findings,
+        shm_findings,
+        taint_findings,
+    )
+    from repro.analysis.dataflow.engine import ModuleContext
+
     targets = discover_files(
         [Path(p) for p in paths] if paths else [default_target()]
     )
@@ -315,29 +274,16 @@ def analyze_paths(
         else {str(Path(p).resolve()) for p in changed}
     )
 
-    report: list[Finding] = []
-    sources: dict[Path, str] = {}
-    raw_by_path: dict[str, list[Finding]] = {}
-    shadow_by_path: dict[str, list[Finding]] = {}
-
-    if dataflow:
-        # Local import: plain lint must not pay for the abstract
-        # interpreter (or fail if it ever grows optional deps).
-        from repro.analysis.dataflow import (
-            asyncsafety_findings,
-            check_error_propagation,
-            lockorder_findings,
-            npa_findings,
-            range_findings,
-            shm_findings,
-            taint_findings,
-        )
-        from repro.analysis.dataflow.engine import ModuleContext
-
     def _want(f: Finding) -> bool:
         return wanted is None or f.rule in wanted
 
+    def _is_changed(path: Path) -> bool:
+        return changed_set is None or str(path.resolve()) in changed_set
+
+    report: list[Finding] = []
+    sources: dict[Path, str] = {}
     trees: dict[str, ast.Module] = {}
+    raw_by_path: dict[str, list[Finding]] = {}
     for path in targets:
         try:
             source = path.read_text()
@@ -352,62 +298,39 @@ def analyze_paths(
             )
             continue
         sources[path] = source
-        # One parse per file, shared by the syntactic rules and every
-        # dataflow pass (each pass used to re-parse and re-index the
-        # module on its own — pure duplicated work).
-        tags = scope_tags(path, source)
         tree: ast.Module | None
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError:
             tree = None
-        if changed_set is not None and str(path.resolve()) not in changed_set:
-            # unchanged file: contribute its source/tree to the cross-file
-            # passes but skip the per-file work entirely
-            if dataflow and tree is not None:
-                trees[str(path)] = tree
-            raw_by_path[str(path)] = []
+        else:
+            trees[str(path)] = tree
+        if not _is_changed(path):
             continue
+        tags = scope_tags(path, source)
         raw = _lint_file_raw(source, path, select=select, tags=tags, tree=tree)
-        if dataflow:
-            shadow_by_path[str(path)] = [
-                f for f in raw if f.rule in _SHADOWED_IN_DATAFLOW
-            ]
-            raw = [f for f in raw if f.rule not in _SHADOWED_IN_DATAFLOW]
-            if tree is not None:
-                trees[str(path)] = tree
-                ctx = ModuleContext.build(str(path), tree)
-                raw.extend(
-                    f
-                    for f in (
-                        range_findings(str(path), source, tree=tree, ctx=ctx)
-                        + check_error_propagation(str(path), source, tree=tree)
-                        + shm_findings(str(path), source, tree=tree, ctx=ctx)
-                        + asyncsafety_findings(
-                            str(path), source, tree=tree, ctx=ctx
-                        )
-                        + taint_findings(
-                            str(path),
-                            source,
-                            tree=tree,
-                            ctx=ctx,
-                            wire="wire" in tags,
-                        )
-                        + (
-                            # array semantics only pay off where arrays
-                            # live: kernel/runtime files that import numpy
-                            npa_findings(str(path), source, tree=tree, ctx=ctx)
-                            if (tags & {"codec", "runtime", "ops"})
-                            and "numpy" in source
-                            else []
-                        )
+        if tree is not None:
+            ctx = ModuleContext.build(str(path), tree)
+            raw.extend(
+                f
+                for f in (
+                    range_findings(str(path), source, tree=tree, ctx=ctx)
+                    + check_error_propagation(str(path), source, tree=tree)
+                    + shm_findings(str(path), source, tree=tree, ctx=ctx)
+                    + asyncsafety_findings(str(path), source, tree=tree, ctx=ctx)
+                    + taint_findings(
+                        str(path), source, tree=tree, ctx=ctx, wire="wire" in tags
                     )
-                    if _want(f)
+                    + (
+                        # array semantics only pay off where arrays live:
+                        # kernel/runtime files that import numpy
+                        npa_findings(str(path), source, tree=tree, ctx=ctx)
+                        if (tags & {"codec", "runtime", "ops"}) and "numpy" in source
+                        else []
+                    )
                 )
-        if run_lockcheck and (wanted is None or "LCK001" in wanted):
-            from repro.analysis.lockcheck import lockcheck_source
-
-            raw.extend(lockcheck_source(source, path))
+                if _want(f)
+            )
         raw_by_path[str(path)] = raw
 
     project_ctx = ProjectContext(paths=targets, sources=sources)
@@ -415,45 +338,27 @@ def analyze_paths(
         if rule.project_checker is not None:
             for f in rule.project_checker(project_ctx):
                 raw_by_path.setdefault(f.path, []).append(f)
-    if dataflow:
-        for f in lockorder_findings(
-            {str(p): s for p, s in sources.items()}, trees=trees
-        ):
-            if _want(f):
-                raw_by_path.setdefault(f.path, []).append(f)
+    for f in lockorder_findings({str(p): s for p, s in sources.items()}, trees=trees):
+        if _want(f):
+            raw_by_path.setdefault(f.path, []).append(f)
 
     # The stale-suppression check only makes sense when the full rule set
     # ran: on a partial run an idle comment may serve a rule not selected.
-    active: set[str] = {r.rule_id for r in all_rules()}
-    if run_lockcheck:
-        active.add("LCK001")
-    if dataflow:
-        from repro.analysis.dataflow import DATAFLOW_RULES
-
-        active |= DATAFLOW_RULES
-    emit_stale = wanted is None
-
+    # A comment naming an unknown rule id is left alone.
+    active = {r.rule_id for r in all_rules()} | DATAFLOW_RULES
     for path, source in sources.items():
-        if changed_set is not None and str(path.resolve()) not in changed_set:
+        if not _is_changed(path):
             # per-file passes did not run here: suppression accounting
             # would report every comment as stale
             continue
         sup = _suppressions(source)
         used: set[tuple[int, str]] = set()
-        kept = _apply_suppressions(raw_by_path.get(str(path), []), sup, used)
-        _apply_suppressions(shadow_by_path.get(str(path), []), sup, used)
-        report.extend(kept)
-        if not emit_stale:
+        report.extend(_apply_suppressions(raw_by_path.pop(str(path), []), sup, used))
+        if wanted is not None:
             continue
         for lineno, ruleset in sorted(sup.items()):
             if ruleset is None:
-                # A blanket comment can only be proven idle when every
-                # pass that could hit its line actually ran.
-                stale = (
-                    dataflow
-                    and run_lockcheck
-                    and not any(line == lineno for line, _ in used)
-                )
+                stale = not any(line == lineno for line, _ in used)
                 listed = "a blanket `# szops: ignore`"
             else:
                 stale = ruleset <= active and not any(
@@ -473,9 +378,9 @@ def analyze_paths(
                     )
                 )
 
-    for fpath, fs in raw_by_path.items():
-        if Path(fpath) not in sources:  # anchor file was never read
-            report.extend(fs)
+    # findings anchored to a file that was never read, or left unchanged
+    for fs in raw_by_path.values():
+        report.extend(fs)
     if changed_set is not None:
-        report = [f for f in report if str(Path(f.path).resolve()) in changed_set]
+        report = [f for f in report if _is_changed(Path(f.path))]
     return sort_findings(report)

@@ -270,8 +270,36 @@ def _produces_float(node: ast.AST) -> bool:
     return False
 
 
+#: Names that are modules, not data, when they root an attribute chain.
+_MODULE_ROOTS = frozenset({"np", "numpy", "math"})
+
+
+def _module_constants(tree: ast.Module) -> set[str]:
+    """Upper-case names bound at module level (``Q_LIMIT``): constants."""
+    names: set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+        elif isinstance(stmt, ast.ImportFrom):
+            names.update(a.asname or a.name for a in stmt.names)
+    return {n for n in names if n.isupper()}
+
+
+def _data_names(node: ast.AST) -> set[str]:
+    """Names ``node`` reads as values: not called functions or modules."""
+    funcs = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+    return {
+        n.id
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and id(n) not in funcs and n.id not in _MODULE_ROOTS
+    }
+
+
 def _check_szl003(ctx: RuleContext) -> list[Finding]:
     findings: list[Finding] = []
+    constants = _module_constants(ctx.tree)
     for fn in [
         n
         for n in ast.walk(ctx.tree)
@@ -293,14 +321,12 @@ def _check_szl003(ctx: RuleContext) -> list[Finding]:
                             guarded.add(name)
 
         def operand_unsafe(node: ast.AST) -> bool:
-            name = root_name(node)
-            if name in guarded:
+            # Only data names carry NaN into an operand: one NaN-checked in
+            # this function (``np.abs(x).max()`` after ``np.isfinite(x)``)
+            # or a module constant (``float(Q_LIMIT)``) cannot.
+            if _data_names(node) <= guarded | constants:
                 return False
-            if name in float_names:
-                return True
-            return _produces_float(node) and (
-                name is None or name not in guarded
-            )
+            return root_name(node) in float_names or _produces_float(node)
 
         nan_rejecting = _nan_rejecting_compares(fn)
         for node in ast.walk(fn):

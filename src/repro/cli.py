@@ -412,12 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the static analysis passes (szops-lint + lockcheck)",
+        help="run every static analysis pass over python sources",
         description=(
             "Run the domain-aware static analysis passes over python "
-            "sources: the SZL lint rules and the LCK lock-discipline "
-            "check. With no paths, lints the installed repro package. "
-            "Exits 1 when any error-severity finding remains."
+            "sources: the syntactic SZL rules, the LCK lock-discipline and "
+            "lock-order rules, the abstract-interpretation passes "
+            "(SZL101/102/103, SHM, ASY, TNT, NPA) and, unless --select is "
+            "given, the SZL099 stale-suppression check. With no paths, "
+            "lints the installed repro package. Exits 1 when any "
+            "error-severity finding remains."
         ),
     )
     p.add_argument(
@@ -430,18 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         default=None,
         help="comma-separated rule ids to run (e.g. SZL001,SZL004)",
-    )
-    p.add_argument(
-        "--no-lockcheck",
-        action="store_true",
-        help="skip the lock-discipline pass",
-    )
-    p.add_argument(
-        "--dataflow",
-        action="store_true",
-        help="also run the abstract-interpretation passes (SZL101/102/103, "
-        "LCK002, SHM001/002, ASY, TNT, NPA) and the SZL099 "
-        "stale-suppression check",
     )
     p.add_argument(
         "--changed",
@@ -1160,7 +1151,7 @@ def _changed_files(rev: str) -> list[Path]:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis import lint_paths, lockcheck_paths
+    from repro.analysis import analyze_paths
     from repro.analysis.findings import Report
 
     select = args.select.split(",") if args.select else None
@@ -1172,20 +1163,7 @@ def _cmd_lint(args) -> int:
         except RuntimeError as exc:
             print(f"error: --changed: {exc}", file=sys.stderr)
             return 2
-    if args.dataflow or changed is not None:
-        from repro.analysis import analyze_paths
-
-        findings = analyze_paths(
-            paths,
-            select=select,
-            dataflow=args.dataflow,
-            run_lockcheck=not args.no_lockcheck,
-            changed=changed,
-        )
-    else:
-        findings = lint_paths(paths, select=select)
-        if not args.no_lockcheck and select is None:
-            findings = findings + lockcheck_paths(paths)
+    findings = analyze_paths(paths, select=select, changed=changed)
     text = _render_findings(findings, args.fmt)
     report = Report(findings)
     if args.output is not None:

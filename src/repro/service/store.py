@@ -22,10 +22,10 @@ This module is the shelf those streams live on:
 * **Reader/writer locking** — lookups take a shared lock; anything that
   mutates the index (insert, LRU touch, evict) takes the exclusive lock.
   The exclusive lock is ``self._lock`` and the class declares
-  ``_GUARDED_ATTRS``, so the lockcheck pass (LCK001) verifies the
-  discipline lexically and the lock-order pass (LCK002) sees a single
-  acquisition level — the expensive work (verify, parse, fingerprint)
-  happens strictly outside any lock.
+  ``_GUARDED_ATTRS``, so the lock-order pass verifies the discipline
+  lexically (LCK001) and sees a single acquisition level (LCK002) — the
+  expensive work (verify, parse, fingerprint) happens strictly outside
+  any lock.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import pytest
 from repro.analysis import analyze_paths, render_sarif
 from repro.analysis.dataflow import asyncsafety_findings, taint_findings
 from repro.analysis.linter import default_target
+from tests.analysis.test_linter import POSITIVE_FIXTURES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -122,55 +123,35 @@ async def tick() -> None:
 def test_asy_tnt_suppressions_are_honored(tmp_path: Path) -> None:
     target = tmp_path / "warmup.py"
     target.write_text(_SUPPRESSED_SRC)
-    findings = analyze_paths([target], dataflow=True)
+    findings = analyze_paths([target])
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
 def test_stale_asy_tnt_suppressions_are_reported(tmp_path: Path) -> None:
     target = tmp_path / "clean.py"
     target.write_text(_STALE_SRC)
-    findings = analyze_paths([target], dataflow=True)
+    findings = analyze_paths([target])
     assert [f.rule for f in findings] == ["SZL099", "SZL099"]
     assert "ASY005" in findings[0].message
     assert "TNT002" in findings[1].message
 
 
 def test_no_stale_check_when_asy_rules_did_not_run(tmp_path: Path) -> None:
-    # Without --dataflow the ASY/TNT rules never ran, so their idle
-    # suppressions cannot be proven stale.
+    # With --select naming only a syntactic rule the ASY/TNT rules never
+    # reported, so their idle suppressions cannot be proven stale.
     target = tmp_path / "clean.py"
     target.write_text(_STALE_SRC)
-    assert analyze_paths([target], dataflow=False) == []
+    assert analyze_paths([target], select=["SZL003"]) == []
 
 
 # ------------------------------------------------------------ SARIF golden
 
-#: Every fixture and the rules expected to fire on it (unsuppressed,
-#: dataflow mode).  Negative fixtures are covered by the per-rule tests;
-#: here the corpus doubles as the SARIF golden input.
+#: Every positive fixture here and the rules it fires through the driver;
+#: the corpus doubles as the SARIF golden input.
 _POSITIVE_CORPUS = {
-    "asy001_pos": {"ASY001"},
-    "asy002_pos": {"ASY002"},
-    "asy003_pos": {"ASY003"},
-    "asy004_pos": {"ASY004"},
-    "asy005_pos": {"ASY005"},
-    "tnt001_pos": {"TNT001"},
-    "tnt002_pos": {"TNT002"},
-    "szl101_pos": {"SZL101"},
-    "szl101_minmax_pos": {"SZL101"},
-    "szl102_pos": {"SZL102"},
-    # the NaN-slipping comparisons are also what the syntactic SZL003 flags
-    "szl102_minmax_pos": {"SZL102", "SZL003"},
-    "szl103_pos": {"SZL103"},
-    "lck002_pos": {"LCK002"},
-    "shm_pos": {"SHM001", "SHM002"},
-    "szl099_pos": {"SZL099"},
-    "npa001_pos": {"NPA001"},
-    "npa002_pos": {"NPA002"},
-    "npa003_pos": {"NPA003"},
-    "npa004_pos": {"NPA004"},
-    "npa005_pos": {"NPA005"},
-    "npa006_pos": {"NPA006"},
+    stem: rules
+    for stem, rules in POSITIVE_FIXTURES.items()
+    if (FIXTURES / f"{stem}.py").exists()
 }
 
 
@@ -181,7 +162,7 @@ def test_sarif_over_fixture_corpus_validates_against_2_1_0_schema() -> None:
     )
     findings = []
     for name in sorted(_POSITIVE_CORPUS):
-        findings.extend(analyze_paths([FIXTURES / f"{name}.py"], dataflow=True))
+        findings.extend(analyze_paths([FIXTURES / f"{name}.py"]))
     doc = json.loads(render_sarif(findings))
     jsonschema.validate(doc, schema)
 
@@ -202,5 +183,5 @@ def test_sarif_over_fixture_corpus_validates_against_2_1_0_schema() -> None:
 def test_service_tree_is_async_and_taint_clean() -> None:
     """The acceptance gate: zero unsuppressed findings over the service layer."""
     service_dir = default_target() / "service"
-    findings = analyze_paths([service_dir], dataflow=True)
+    findings = analyze_paths([service_dir])
     assert findings == [], "\n".join(f.render() for f in findings)

@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis import analyze_paths, render_sarif
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.linter import default_target
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -18,7 +17,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_stale_suppressions_are_reported() -> None:
-    findings = analyze_paths([FIXTURES / "szl099_pos.py"], dataflow=True)
+    findings = analyze_paths([FIXTURES / "szl099_pos.py"])
     assert [f.rule for f in findings] == ["SZL099", "SZL099"]
     listed, blanket = findings
     assert "SZL001" in listed.message
@@ -26,32 +25,31 @@ def test_stale_suppressions_are_reported() -> None:
 
 
 def test_live_suppression_and_docstring_example_are_not_stale() -> None:
-    assert analyze_paths([FIXTURES / "szl099_neg.py"], dataflow=True) == []
+    assert analyze_paths([FIXTURES / "szl099_neg.py"]) == []
 
 
 def test_no_stale_check_on_partial_runs() -> None:
     # With --select the unlisted rules never ran, so an idle comment
     # cannot be proven stale.
     findings = analyze_paths(
-        [FIXTURES / "szl099_pos.py"], select=["SZL003"], dataflow=True
+        [FIXTURES / "szl099_pos.py"], select=["SZL003"]
     )
     assert findings == []
 
 
 def test_dataflow_mode_shadows_syntactic_rules() -> None:
-    # The peak-guard negative fixture is proven safe by SZL101; the
-    # syntactic SZL001 must not resurface its finding in dataflow mode.
-    findings = analyze_paths([FIXTURES / "szl101_neg.py"], dataflow=True)
+    # The peak-guard negative fixture is proven safe by SZL101, and the
+    # syntactic SZL001 (which runs too) has no finding of its own there.
+    findings = analyze_paths([FIXTURES / "szl101_neg.py"])
     assert [f for f in findings if f.rule in {"SZL001", "SZL101"}] == []
 
 
 # ----------------------------------------------------------------- e2e tree
 
 
-def test_repro_package_is_dataflow_clean() -> None:
+def test_repro_package_is_dataflow_clean(package_report) -> None:
     """The acceptance gate: zero unsuppressed findings over the package."""
-    findings = analyze_paths([default_target()], dataflow=True)
-    assert findings == [], "\n".join(f.render() for f in findings)
+    assert package_report.doc["findings"] == [], package_report.rendered()
 
 
 # -------------------------------------------------------------------- SARIF

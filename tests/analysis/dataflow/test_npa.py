@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis import analyze_paths
 from repro.analysis.dataflow import npa_findings
-from repro.analysis.linter import default_target
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).resolve().parents[3]
@@ -60,28 +59,27 @@ def test_negative_fixture_is_proven_safe(stem: str) -> None:
 def test_npa_suppression_is_honoured_and_counts_as_used() -> None:
     # The justified ignore[NPA004] swallows the finding and does not go
     # stale on a full dataflow run.
-    assert analyze_paths([FIXTURES / "npa_suppress_live.py"], dataflow=True) == []
+    assert analyze_paths([FIXTURES / "npa_suppress_live.py"]) == []
 
 
 def test_stale_npa_suppression_is_reported() -> None:
-    findings = analyze_paths([FIXTURES / "npa_suppress_stale.py"], dataflow=True)
+    findings = analyze_paths([FIXTURES / "npa_suppress_stale.py"])
     assert [f.rule for f in findings] == ["SZL099"]
     assert "NPA003" in findings[0].message
 
 
 def test_npa_findings_survive_the_driver_unsuppressed() -> None:
-    findings = analyze_paths([FIXTURES / "npa001_pos.py"], dataflow=True)
+    findings = analyze_paths([FIXTURES / "npa001_pos.py"])
     assert [f.rule for f in findings] == ["NPA001", "NPA001"]
 
 
 # ------------------------------------------------------------- e2e gates
 
 
-def test_repro_package_is_npa_clean() -> None:
+def test_repro_package_is_npa_clean(package_report) -> None:
     """The acceptance gate: zero unsuppressed NPA findings over the tree."""
-    npa_rules = [f"NPA00{i}" for i in range(1, 7)]
-    findings = analyze_paths([default_target()], select=npa_rules, dataflow=True)
-    assert findings == [], "\n".join(f.render() for f in findings)
+    npa_rules = {f"NPA00{i}" for i in range(1, 7)}
+    assert package_report.rendered(npa_rules) == ""
 
 
 def test_benchmarks_are_npa_clean() -> None:
@@ -90,7 +88,7 @@ def test_benchmarks_are_npa_clean() -> None:
     if not benchmarks.is_dir():  # pragma: no cover - repo layout guard
         pytest.skip("benchmarks/ not present")
     npa_rules = [f"NPA00{i}" for i in range(1, 7)]
-    findings = analyze_paths([benchmarks], select=npa_rules, dataflow=True)
+    findings = analyze_paths([benchmarks], select=npa_rules)
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
@@ -100,7 +98,7 @@ def test_benchmarks_are_npa_clean() -> None:
 def test_changed_mode_restricts_to_the_listed_files() -> None:
     pos = FIXTURES / "npa001_pos.py"
     other = FIXTURES / "npa006_pos.py"
-    findings = analyze_paths([pos, other], dataflow=True, changed=[pos])
+    findings = analyze_paths([pos, other], changed=[pos])
     assert [f.rule for f in findings] == ["NPA001", "NPA001"]
     assert all(Path(f.path).name == "npa001_pos.py" for f in findings)
 
@@ -109,10 +107,10 @@ def test_changed_mode_equals_full_run_filtered() -> None:
     pos = FIXTURES / "npa002_pos.py"
     neg = FIXTURES / "npa002_neg.py"
     full = [
-        f for f in analyze_paths([pos, neg], dataflow=True)
+        f for f in analyze_paths([pos, neg])
         if Path(f.path).name == "npa002_pos.py"
     ]
-    incremental = analyze_paths([pos, neg], dataflow=True, changed=[pos])
+    incremental = analyze_paths([pos, neg], changed=[pos])
     assert [(f.rule, f.line) for f in incremental] == [
         (f.rule, f.line) for f in full
     ]

@@ -1,8 +1,8 @@
 # szops-lint-scope: ops-module
 """SZL005 negative: op module declaring its error-propagation class."""
 
-ERROR_PROPAGATION = {"scalar_triple": "scaled"}
+ERROR_PROPAGATION = {"block_count": "computation"}
 
 
-def scalar_triple(blocks):
-    return blocks
+def block_count(blocks):
+    return len(blocks)

@@ -3,5 +3,5 @@
 ERROR_PROPAGATION = {"orphan_op": "exact"}
 
 
-def orphan_op(blocks):
+def orphan_op(blocks: "SZOpsCompressed") -> "SZOpsCompressed":
     return blocks

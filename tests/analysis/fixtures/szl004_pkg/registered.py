@@ -3,5 +3,5 @@
 ERROR_PROPAGATION = {"registered_op": "exact"}
 
 
-def registered_op(blocks):
+def registered_op(blocks: "SZOpsCompressed") -> "SZOpsCompressed":
     return blocks
