@@ -721,6 +721,7 @@ def run_ablation_constant_blocks(cfg: BenchConfig) -> ExperimentResult:
     """Section VI-B2: reduction kernel time tracks the constant fraction."""
     from repro.datasets.synthetic import FieldSpec, synthesize_field
     from repro.core.ops import mean as c_mean
+    from repro.runtime import cache_disabled
 
     shape = (64, 96, 96)
     szops = SZOps(block_size=BLOCK_SIZE)
@@ -730,10 +731,13 @@ def run_ablation_constant_blocks(cfg: BenchConfig) -> ExperimentResult:
         arr = synthesize_field(spec, shape, seed=cfg.seed)
         c = szops.compress(arr, cfg.eps)
         best = float("inf")
-        for _ in range(max(cfg.repeats, 3)):
-            with Timer() as t:
-                c_mean(c)
-            best = min(best, t.seconds)
+        # with the decoded-block cache on, every repeat after the first
+        # would read back memoised moments instead of running the kernel
+        with cache_disabled():
+            for _ in range(max(cfg.repeats, 3)):
+                with Timer() as t:
+                    c_mean(c)
+                best = min(best, t.seconds)
         rows.append([plateau, c.constant_fraction * 100.0, best * 1e3])
     return ExperimentResult(
         exp_id="ablation_constant_blocks",
