@@ -49,7 +49,7 @@ def test_fused_chain_warm(benchmark, szops_blob):
 def test_runtime_fusion_report(bench_cfg, experiment_runs_root):
     """Regenerate the fusion table through the engine; persist BENCH_runtime.json."""
     from repro.harness.experiments import (
-        bench_runtime_payload,
+        bench_payload,
         get_table,
         render_report_markdown,
         run_experiment,
@@ -63,7 +63,7 @@ def test_runtime_fusion_report(bench_cfg, experiment_runs_root):
         index_path=experiment_runs_root / "experiments.db",
     )
     print(render_report_markdown(result.report))
-    bench = bench_runtime_payload(result.cells)
+    bench = bench_payload(result.manifest, result.cells)
     save_bench_json(bench, Path(__file__).resolve().parent.parent / "BENCH_runtime.json")
     # ISSUE-1 acceptance: >= 2x on the largest dataset, identical results.
     assert bench["identical_results"], "fused chain diverged from eager ops"

@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Boot a local cluster, place sharded arrays, and drive a closed "
             "loop of concurrent routers issuing PUTs and distributed "
             "reductions. Every reduction reply is checked against the "
-            "single-node LazyStream value (mean/min/max bit-identical). "
-            "Writes BENCH_cluster.json."
+            "single-node LazyStream value (mean/min/max/variance "
+            "bit-identical). Writes BENCH_cluster.json."
         ),
     )
     pc.add_argument("--nodes", type=int, default=3)
@@ -637,48 +637,58 @@ def _bench_cfg(args):
     return cfg
 
 
-def _cmd_bench(args) -> int:
-    """The BENCH_parallel.json producer, executed through the engine."""
+def _save_bench(payload: dict, output: Path | None) -> None:
+    if output is not None:
+        from repro.harness import save_bench_json
+
+        save_bench_json(payload, output)
+        print(f"[bench JSON -> {output}]")
+
+
+def _run_bench(table, args, summarize) -> int:
+    """Run ``table`` in a temporary runs dir and write its ``BENCH_*.json``.
+
+    ``summarize(result, payload)`` prints the command's summary; the JSON
+    goes to ``args.output`` and the exit code is 0 only when every cell
+    is ok.
+    """
+    import dataclasses
     import tempfile
 
-    from repro.harness import save_bench_json
-    from repro.harness.experiments import (
-        bench_parallel_payload,
-        get_table,
-        render_report_markdown,
-        run_experiment,
-    )
+    from repro.harness.experiments import bench_payload, run_experiment
+
+    if getattr(args, "repeats", None) is not None:
+        table = dataclasses.replace(table, repeats=args.repeats)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
+        result = run_experiment(table, _bench_cfg(args), tmp)
+    payload = bench_payload(result.manifest, result.cells)
+    summarize(result, payload)
+    _save_bench(payload, args.output)
+    return 0 if result.all_ok else 1
+
+
+def _print_report(result, _payload) -> None:
+    from repro.harness.experiments import render_report_markdown
+
+    print(render_report_markdown(result.report))
+
+
+def _cmd_bench(args) -> int:
+    """The BENCH_parallel.json producer, executed through the engine."""
+    from repro.harness.experiments import get_table
 
     try:
         workers = _parse_workers(args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg = _bench_cfg(args)
     table = get_table("parallel-backends", workers=workers, dataset=args.dataset)
-    if args.repeats is not None:
-        import dataclasses
-
-        table = dataclasses.replace(table, repeats=args.repeats)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        result = run_experiment(table, cfg, tmp)
-    print(render_report_markdown(result.report))
-    if args.output is not None:
-        save_bench_json(bench_parallel_payload(result.manifest, result.cells), args.output)
-        print(f"[bench JSON -> {args.output}]")
-    return 0 if result.all_ok else 1
+    return _run_bench(table, args, _print_report)
 
 
 def _cmd_bench_bitpack(args) -> int:
     """The bitpack-kernels microbenchmark, executed through the engine."""
-    import json
-    import tempfile
-
-    from repro.harness.experiments import (
-        get_table,
-        render_report_markdown,
-        run_experiment,
-    )
+    from repro.harness.experiments import get_table
 
     kwargs: dict = {"size": args.size}
     if args.widths is not None:
@@ -692,26 +702,7 @@ def _cmd_bench_bitpack(args) -> int:
             return 2
         kwargs["widths"] = widths
     table = get_table("bitpack-kernels", **kwargs)
-    if args.repeats is not None:
-        import dataclasses
-
-        table = dataclasses.replace(table, repeats=args.repeats)
-    cfg = _bench_cfg(args)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-bitpack-") as tmp:
-        result = run_experiment(table, cfg, tmp)
-    print(render_report_markdown(result.report))
-    if args.output is not None:
-        cells = [dict(cell["metrics"]) for cell in result.cells]
-        payload = {
-            "experiment": "bitpack_kernels",
-            "size": args.size,
-            "all_identical": bool(result.all_ok),
-            "cells": cells,
-            "run_id": result.manifest["run_id"],
-        }
-        args.output.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"[bench JSON -> {args.output}]")
-    return 0 if result.all_ok else 1
+    return _run_bench(table, args, _print_report)
 
 
 def _cmd_serve(args) -> int:
@@ -884,45 +875,41 @@ def _cluster_status(args) -> int:
 
 
 def _cluster_bench(args) -> int:
-    from repro.cluster import run_cluster_bench
-    from repro.harness import save_bench_json
+    """The BENCH_cluster.json producer, executed through the engine."""
+    import dataclasses
 
-    payload = run_cluster_bench(
-        n_nodes=args.nodes,
-        replicas=args.replicas,
-        n_clients=args.clients,
+    from repro.harness.experiments import get_table
+
+    table = get_table(
+        "cluster-scale",
+        nodes=(args.nodes,),
+        replicas=(args.replicas,),
+        clients=(args.clients,),
         requests_per_client=args.requests,
-        n_arrays=args.arrays,
         chunks=args.chunks,
         n_elements=args.n_elements,
         eps=args.eps,
     )
-    print(
-        f"cluster: {payload['throughput_rps']:8.1f} req/s  "
-        f"p50 {payload['latency_p50_ms']:7.2f} ms  "
-        f"p99 {payload['latency_p99_ms']:7.2f} ms  "
-        f"({payload['completed_requests']}/{payload['total_requests']} ok, "
-        f"{payload['identity_failures']} identity failures)"
+    table = dataclasses.replace(
+        table, options={**table.options, "n_arrays": args.arrays}
     )
-    save_bench_json(payload, args.output)
-    print(f"[bench JSON -> {args.output}]")
-    return 0 if payload["ok"] else 1
+
+    def summarize(_result, payload) -> None:
+        print(
+            f"cluster: {payload['throughput_rps']:8.1f} req/s  "
+            f"p50 {payload['latency_p50_ms']:7.2f} ms  "
+            f"p99 {payload['latency_p99_ms']:7.2f} ms  "
+            f"({payload['completed_requests']}/{payload['total_requests']} ok, "
+            f"{payload['identity_failures']} identity failures)"
+        )
+
+    return _run_bench(table, args, summarize)
 
 
 def _cmd_bench_serve(args) -> int:
     """The BENCH_service.json producer, executed through the engine."""
-    import dataclasses
-    import tempfile
+    from repro.harness.experiments import get_table
 
-    from repro.harness import save_bench_json
-    from repro.harness.config import config_from_env
-    from repro.harness.experiments import (
-        bench_service_payload,
-        get_table,
-        run_experiment,
-    )
-
-    cfg = dataclasses.replace(config_from_env(), scale=args.scale)
     table = get_table(
         "service-batching",
         dataset=args.dataset,
@@ -932,27 +919,27 @@ def _cmd_bench_serve(args) -> int:
         backend=args.backend,
         n_workers=args.threads,
     )
-    with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
-        result = run_experiment(table, cfg, tmp)
-    payload = bench_service_payload(result.cells)
-    for label in ("batched", "unbatched"):
-        v = payload[label]
+
+    def summarize(_result, payload) -> None:
+        for label in ("batched", "unbatched"):
+            v = payload[label]
+            print(
+                f"{label:>9}: {v['throughput_rps']:8.1f} req/s  "
+                f"p50 {v['latency_p50_ms']:7.2f} ms  p99 {v['latency_p99_ms']:7.2f} ms  "
+                f"({v['completed_requests']}/{v['total_requests']} ok)"
+            )
         print(
-            f"{label:>9}: {v['throughput_rps']:8.1f} req/s  "
-            f"p50 {v['latency_p50_ms']:7.2f} ms  p99 {v['latency_p99_ms']:7.2f} ms  "
-            f"({v['completed_requests']}/{v['total_requests']} ok)"
+            f"speedup (batched/unbatched): "
+            f"{payload['speedup_batched_vs_unbatched']:.2f}x"
         )
-    print(f"speedup (batched/unbatched): {payload['speedup_batched_vs_unbatched']:.2f}x")
-    red = payload["reduce_vs_decompress"]
-    print(
-        f"REDUCE mean: {1e3 * red['compressed_domain_seconds']:.2f} ms compressed-domain "
-        f"vs {1e3 * red['fetch_decompress_seconds']:.2f} ms fetch+decompress "
-        f"({red['speedup']:.2f}x)"
-    )
-    save_bench_json(payload, args.output)
-    print(f"[bench JSON -> {args.output}]")
-    ok = payload["total_errors"] == 0 and payload["bit_identical_to_eager"]
-    return 0 if ok else 1
+        red = payload["reduce_vs_decompress"]
+        print(
+            f"REDUCE mean: {1e3 * red['compressed_domain_seconds']:.2f} ms "
+            f"compressed-domain vs {1e3 * red['fetch_decompress_seconds']:.2f} ms "
+            f"fetch+decompress ({red['speedup']:.2f}x)"
+        )
+
+    return _run_bench(table, args, summarize)
 
 
 def _cmd_experiment(args) -> int:
@@ -990,14 +977,7 @@ def _experiment_tables(args) -> int:
 def _experiment_run(args) -> int:
     import dataclasses
 
-    from repro.harness import save_bench_json
-    from repro.harness.experiments import (
-        bench_parallel_payload,
-        bench_runtime_payload,
-        bench_service_payload,
-        get_table,
-        run_experiment,
-    )
+    from repro.harness.experiments import bench_payload, get_table, run_experiment
 
     kwargs = {}
     if args.workers is not None:
@@ -1031,21 +1011,7 @@ def _experiment_run(args) -> int:
     print(f"[artifacts -> {result.run_dir}]")
 
     if args.bench_json is not None:
-        emitters = {
-            "parallel-backends": lambda: bench_parallel_payload(
-                result.manifest, result.cells
-            ),
-            "runtime-fusion": lambda: bench_runtime_payload(result.cells),
-            "service-batching": lambda: bench_service_payload(result.cells),
-        }
-        if args.table not in emitters:
-            print(
-                f"error: no legacy BENCH payload for table {args.table!r}",
-                file=sys.stderr,
-            )
-            return 2
-        save_bench_json(emitters[args.table](), args.bench_json)
-        print(f"[bench JSON -> {args.bench_json}]")
+        _save_bench(bench_payload(result.manifest, result.cells), args.bench_json)
     return 0 if result.all_ok else 1
 
 

@@ -17,19 +17,17 @@ Layers (each usable on its own):
   containers along block boundaries, plus the chunk-key namespace.
 * :mod:`~repro.cluster.node` — a :class:`~repro.service.server.ServiceServer`
   subclass adding the SHARDMAP / PREDUCE / PING opcodes and epoch
-  fencing.
+  fencing, plus :func:`~repro.cluster.node.local_cluster`, which boots
+  an in-process fleet behind a connected router.
 * :mod:`~repro.cluster.router` — the client-side coordinator: replica
   fan-out writes, failover reads, distributed reductions, epoch
   reconciliation, and rebalancing.
 * :mod:`~repro.cluster.membership` — heartbeat failure detection that
   drives automatic rebalancing.
-* :mod:`~repro.cluster.bench` — local-cluster boot helper and the mixed
-  PUT/REDUCE load generator with identity checking.
 
 See ``docs/CLUSTER.md`` for the architecture and the exactness matrix.
 """
 
-from repro.cluster.bench import local_cluster, run_cluster_bench
 from repro.cluster.chunking import (
     chunk_key,
     merge_containers,
@@ -38,7 +36,7 @@ from repro.cluster.chunking import (
 )
 from repro.cluster.hashring import NodeInfo, ShardMap, hash_point
 from repro.cluster.membership import HeartbeatMonitor, ProbeState
-from repro.cluster.node import ClusterNode, NodeConfig
+from repro.cluster.node import ClusterNode, NodeConfig, local_cluster
 from repro.cluster.router import (
     CLUSTER_REDUCTIONS,
     ClusterClient,
@@ -69,5 +67,4 @@ __all__ = [
     "HeartbeatMonitor",
     "ProbeState",
     "local_cluster",
-    "run_cluster_bench",
 ]

@@ -32,9 +32,12 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Any, Iterator
 
-from repro.cluster.hashring import ShardMap
+from repro.cluster.hashring import NodeInfo, ShardMap
+from repro.cluster.router import ClusterClient
 from repro.runtime.lazy import LazyStream
 from repro.service.protocol import (
     BodyKind,
@@ -47,9 +50,14 @@ from repro.service.protocol import (
     ShardMapRequest,
     Status,
 )
-from repro.service.server import ServiceConfig, ServiceServer, _validate_pointwise
+from repro.service.server import (
+    ServiceConfig,
+    ServiceServer,
+    ThreadedServer,
+    _validate_pointwise,
+)
 
-__all__ = ["NodeConfig", "ClusterNode"]
+__all__ = ["NodeConfig", "ClusterNode", "local_cluster"]
 
 #: Opcodes exempt from epoch fencing: control-plane exchanges must work
 #: between disagreeing parties (that is how they stop disagreeing), and
@@ -166,3 +174,44 @@ class ClusterNode(ServiceServer):
         doc["node_id"] = self.node_id
         doc["epoch"] = self.epoch
         return doc
+
+
+@contextmanager
+def local_cluster(
+    n_nodes: int,
+    replicas: int = 2,
+    vnodes: int = 32,
+    install: bool = True,
+    **node_kwargs: Any,
+) -> Iterator[tuple[ClusterClient, list[ThreadedServer]]]:
+    """Boot ``n_nodes`` in-process cluster nodes plus a connected router.
+
+    Each node is a real :class:`ClusterNode` behind a real TCP socket on
+    its own event-loop thread; only process isolation is skipped (the
+    subprocess path is exercised by ``repro cluster serve`` and the CI
+    fault drill).  Yields ``(router, handles)``; tears everything down
+    on exit.
+    """
+    handles: list[ThreadedServer] = []
+    router: ClusterClient | None = None
+    try:
+        for i in range(n_nodes):
+            node = ClusterNode(NodeConfig(node_id=f"node-{i}", **node_kwargs))
+            handles.append(ThreadedServer(server=node).start())
+        shard_map = ShardMap(
+            tuple(
+                NodeInfo(f"node-{i}", h.host, h.port)
+                for i, h in enumerate(handles)
+            ),
+            replicas=replicas,
+            vnodes=vnodes,
+        )
+        router = ClusterClient(shard_map)
+        if install:
+            router.install_map()
+        yield router, handles
+    finally:
+        if router is not None:
+            router.close()
+        for handle in handles:
+            handle.stop()

@@ -12,14 +12,11 @@ from repro.harness.runner import (
     DEFAULT_SCALAR,
     ExperimentResult,
     OpMeasurement,
-    largest_dataset,
-    measure_ops_matrix,
     prepare_fields,
     run_ablation_constant_blocks,
     run_ablation_format,
     run_figure5,
     run_figure6,
-    run_runtime_fusion,
     run_table4,
     run_table6,
     run_table7,
@@ -38,7 +35,6 @@ __all__ = [
     "DEFAULT_SCALAR",
     "ExperimentResult",
     "OpMeasurement",
-    "measure_ops_matrix",
     "prepare_fields",
     "run_table4",
     "run_figure5",
@@ -47,6 +43,4 @@ __all__ = [
     "run_table7",
     "run_ablation_format",
     "run_ablation_constant_blocks",
-    "run_runtime_fusion",
-    "largest_dataset",
 ]

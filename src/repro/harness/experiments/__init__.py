@@ -6,7 +6,10 @@ docs/EXPERIMENTS.md):
 * :mod:`~repro.harness.experiments.runtable` — declarative factorial run
   tables with deterministic expansion and content-addressed cells;
 * :mod:`~repro.harness.experiments.executor` — cell execution through
-  the real ``SZOps`` / ``runtime`` / ``parallel`` / ``service`` layers;
+  the real ``SZOps`` / ``runtime`` / ``parallel`` / ``service`` /
+  ``cluster`` layers: the one implementation of every timed workload;
+* :mod:`~repro.harness.experiments.compat` — the ``BENCH_*.json``
+  payloads rebuilt from a run's cells;
 * :mod:`~repro.harness.experiments.artifacts` — per-run artifact
   directories (manifest, environment capture, raw cell JSON);
 * :mod:`~repro.harness.experiments.index` — the cross-run SQLite index;
@@ -31,9 +34,9 @@ from repro.harness.experiments.compare import (
     compare_runs,
 )
 from repro.harness.experiments.compat import (
+    bench_cell_payload,
     bench_parallel_payload,
-    bench_runtime_payload,
-    bench_service_payload,
+    bench_payload,
     ops_matrix_from_cells,
 )
 from repro.harness.experiments.executor import (
@@ -85,9 +88,9 @@ __all__ = [
     "RunTable",
     "WORKLOADS",
     "append_run",
+    "bench_cell_payload",
     "bench_parallel_payload",
-    "bench_runtime_payload",
-    "bench_service_payload",
+    "bench_payload",
     "build_report",
     "canonical_json",
     "chain_for_depth",

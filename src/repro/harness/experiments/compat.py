@@ -1,12 +1,13 @@
-"""Legacy ``BENCH_*.json`` shapes emitted from engine runs.
+"""``BENCH_*.json`` shapes emitted from engine runs.
 
-The three historical snapshot producers (``repro bench`` ->
-``BENCH_parallel.json``, the runtime-fusion benchmark ->
-``BENCH_runtime.json``, ``repro bench-serve`` -> ``BENCH_service.json``)
-now execute through the experiment engine; these adapters rebuild their
-documented payload shapes from engine cell documents so every downstream
-consumer keeps working while the engine's artifact/index representation
-stays canonical.
+Every snapshot producer (``repro bench`` -> ``BENCH_parallel.json``,
+``repro bench-bitpack`` -> ``BENCH_bitpack.json``, the runtime-fusion
+benchmark -> ``BENCH_runtime.json``, ``repro bench-serve`` ->
+``BENCH_service.json``, ``repro cluster bench`` -> ``BENCH_cluster.json``)
+executes through the experiment engine; :func:`bench_payload` rebuilds
+the documented payload shape of a run from its cell documents, so every
+downstream consumer keeps working while the engine's artifact/index
+representation stays canonical.
 
 The Figures 5/6 benchmarks consume the engine the other way around:
 :func:`ops_matrix_from_cells` lifts indexed ``ops_matrix`` cells back
@@ -16,14 +17,16 @@ renderers take.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.harness.runner import OpMeasurement
 
 __all__ = [
+    "BENCH_PAYLOADS",
+    "bench_bitpack_payload",
+    "bench_cell_payload",
     "bench_parallel_payload",
-    "bench_runtime_payload",
-    "bench_service_payload",
+    "bench_payload",
     "ops_matrix_from_cells",
 ]
 
@@ -83,22 +86,53 @@ def bench_parallel_payload(
     }
 
 
-def bench_runtime_payload(cells: list[Mapping[str, Any]]) -> dict[str, Any]:
-    """The ``BENCH_runtime.json`` payload (one fusion cell, passed through)."""
-    if len(cells) != 1:
-        raise ValueError(f"runtime-fusion runs hold one cell, got {len(cells)}")
-    payload = dict(cells[0]["metrics"])
-    payload.pop("ok", None)
-    return payload
+def bench_bitpack_payload(
+    manifest: Mapping[str, Any], cells: list[Mapping[str, Any]]
+) -> dict[str, Any]:
+    """The ``BENCH_bitpack.json`` payload from bitpack cells."""
+    return {
+        "experiment": "bitpack_kernels",
+        "size": int(manifest["table"]["options"]["size"]),
+        "all_identical": bool(cells) and all(bool(c["ok"]) for c in cells),
+        "cells": [dict(c["metrics"]) for c in cells],
+        "run_id": manifest["run_id"],
+    }
 
 
-def bench_service_payload(cells: list[Mapping[str, Any]]) -> dict[str, Any]:
-    """The ``BENCH_service.json`` payload (one service cell, passed through)."""
+def bench_cell_payload(
+    manifest: Mapping[str, Any], cells: list[Mapping[str, Any]]
+) -> dict[str, Any]:
+    """A one-cell run's payload: the cell's metrics, passed through."""
     if len(cells) != 1:
-        raise ValueError(f"service-batching runs hold one cell, got {len(cells)}")
-    payload = dict(cells[0]["metrics"])
-    payload.pop("ok", None)
-    return payload
+        raise ValueError(
+            f"a {manifest['table']['name']} bench payload holds one cell, "
+            f"got {len(cells)}"
+        )
+    return dict(cells[0]["metrics"])
+
+
+#: Table name -> builder of its ``BENCH_*.json`` payload.
+BENCH_PAYLOADS: dict[
+    str, Callable[[Mapping[str, Any], list[Mapping[str, Any]]], dict[str, Any]]
+] = {
+    "parallel-backends": bench_parallel_payload,
+    "bitpack-kernels": bench_bitpack_payload,
+    "runtime-fusion": bench_cell_payload,
+    "service-batching": bench_cell_payload,
+    "cluster-scale": bench_cell_payload,
+}
+
+
+def bench_payload(
+    manifest: Mapping[str, Any], cells: list[Mapping[str, Any]]
+) -> dict[str, Any]:
+    """The ``BENCH_*.json`` payload of a run, chosen by its table's name."""
+    name = manifest["table"]["name"]
+    try:
+        build = BENCH_PAYLOADS[name]
+    except KeyError:
+        raise ValueError(f"no BENCH payload for table {name!r}") from None
+    return build(manifest, cells)
 
 
 def ops_matrix_from_cells(cells: list[Mapping[str, Any]]) -> list[OpMeasurement]:

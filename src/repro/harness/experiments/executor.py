@@ -1,6 +1,7 @@
 """Cell execution: one factor assignment in, one metrics document out.
 
-Five workloads, all routed through the *existing* layers (nothing here
+Every timed workload of the repository has its one implementation here.
+Six workloads, all routed through the *existing* layers (nothing here
 re-implements a kernel):
 
 ``pipeline``
@@ -30,20 +31,33 @@ re-implements a kernel):
     compressed-domain kernel time.
 
 ``fusion``
-    Wraps :func:`repro.harness.runner.run_runtime_fusion` (the
-    BENCH_runtime.json producer) as a single cell.
+    The ``BENCH_runtime.json`` producer: the fused negate -> xS -> mean
+    chain against the eager three-op replay (cache off, cache on), with
+    identical results asserted.
 
 ``service``
-    Wraps :func:`repro.service.bench.run_service_bench` (the
-    BENCH_service.json producer) as a single cell.
+    The ``BENCH_service.json`` producer (``repro bench-serve``): a real
+    server with micro-batching on, then off, under the same closed-loop
+    OP load, every reply checked against the eager chain; plus
+    compressed-domain REDUCE timed against GET + decompress + ``np.mean``.
 
-Per-repetition timing samples are kept (``*_seconds_reps``) so the report
-layer can attach confidence intervals instead of a bare best-of.
+``cluster``
+    The ``BENCH_cluster.json`` producer (``repro cluster bench``): a
+    local cluster under mixed PUT / distributed-REDUCE load, every
+    reduction reply checked bit for bit against the single-node value.
+
+Timing goes through two helpers only: :func:`_best_and_reps` (best of
+``repeats``, every sample kept as ``*_seconds_reps`` so the report layer
+can attach confidence intervals) and :func:`_closed_loop` (a client fleet
+with p50/p99 latencies from :func:`_quantile`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+import statistics
+import threading
+import time
+from typing import TYPE_CHECKING, Any, Callable, ContextManager
 
 import numpy as np
 
@@ -51,9 +65,10 @@ from repro.harness.config import BenchConfig
 from repro.harness.experiments.runtable import Cell, RunTable
 from repro.metrics import Timer
 
-__all__ = ["ExecutionContext", "WORKLOADS", "execute_cell", "chain_for_depth"]
+if TYPE_CHECKING:
+    from repro.service.server import ThreadedServer
 
-_BLOCK_SIZE = 64
+__all__ = ["ExecutionContext", "WORKLOADS", "execute_cell", "chain_for_depth"]
 
 #: The canonical pointwise op cycle fused chains draw their prefix from.
 _CHAIN_CYCLE: tuple[tuple[str, float | None], ...] = (
@@ -71,33 +86,144 @@ def chain_for_depth(depth: int) -> list[tuple[str, float | None]]:
     return [cycle[i % len(cycle)] for i in range(depth)]
 
 
+def _chain_labels(chain: list[tuple[str, float | None]]) -> list[str]:
+    return [n if s is None else f"{n}={s:g}" for n, s in chain]
+
+
 def _best_and_reps(
-    fn: Callable[[], Any], repeats: int
+    fn: Callable[[], Any],
+    repeats: int,
+    prepare: Callable[[], object] | None = None,
 ) -> tuple[float, list[float], Any]:
-    """Run ``fn`` ``repeats`` times; return (best_s, all samples, last value)."""
+    """Run ``fn`` ``repeats`` times; return (best_s, all samples, best run's value).
+
+    ``prepare`` runs untimed before every repetition (e.g. a cache clear).
+    """
     reps: list[float] = []
-    value: Any = None
+    best_s, value = float("inf"), None
     for _ in range(repeats):
+        if prepare is not None:
+            prepare()
         with Timer() as t:
-            value = fn()
+            out = fn()
         reps.append(t.seconds)
-    return min(reps), reps, value
+        if t.seconds < best_s:
+            best_s, value = t.seconds, out
+    return best_s, reps, value
+
+
+def _quantile(samples: list[float], frac: float) -> float:
+    if not samples:
+        return 0.0
+    if len(samples) == 1:
+        return samples[0]
+    rank = int(frac * 100) - 1
+    return float(statistics.quantiles(samples, n=100, method="inclusive")[rank])
+
+
+def _closed_loop(
+    clients: int,
+    requests_per_client: int,
+    connect: Callable[[int], ContextManager[Any]],
+    request: Callable[[Any, int, int], bool],
+) -> dict[str, Any]:
+    """Closed-loop load: ``clients`` threads issue their requests back to back.
+
+    ``connect(i)`` opens client ``i``'s session before the start barrier;
+    ``request(session, i, r)`` issues request ``r`` and says whether its
+    reply was correct (``False`` counts in ``mismatched_replies``).  A
+    client that raises stops and lands in ``errors``: the cell reports it
+    instead of raising.
+    """
+    latencies: list[list[float]] = [[] for _ in range(clients)]
+    mismatches = [0] * clients
+    errors: list[str] = []
+    lock = threading.Lock()
+    barrier = threading.Barrier(clients + 1)
+
+    def worker(idx: int) -> None:
+        started = False
+        try:
+            with connect(idx) as session:
+                barrier.wait()
+                started = True
+                for r in range(requests_per_client):
+                    t0 = time.perf_counter()
+                    correct = request(session, idx, r)
+                    latencies[idx].append(time.perf_counter() - t0)
+                    mismatches[idx] += not correct
+        except Exception as exc:  # recorded, not raised: the cell reports
+            with lock:
+                errors.append(f"client {idx}: {type(exc).__name__}: {exc}")
+            if not started:
+                barrier.abort()  # release everyone waiting on a fleet that cannot form
+
+    threads = [
+        threading.Thread(target=worker, args=(i,), name=f"load-client-{i}")
+        for i in range(clients)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        barrier.wait()
+    except threading.BrokenBarrierError:
+        pass  # a client failed before the start; its error is recorded
+    t_start = time.perf_counter()
+    for t in threads:
+        t.join()
+    wall_s = time.perf_counter() - t_start
+
+    flat = [s for per_client in latencies for s in per_client]
+    return {
+        "clients": clients,
+        "requests_per_client": requests_per_client,
+        "total_requests": clients * requests_per_client,
+        "completed_requests": len(flat),
+        "errors": errors,
+        "mismatched_replies": sum(mismatches),
+        "wall_seconds": wall_s,
+        "throughput_rps": len(flat) / wall_s if wall_s > 0 else 0.0,
+        "latency_p50_ms": 1e3 * _quantile(flat, 0.50),
+        "latency_p99_ms": 1e3 * _quantile(flat, 0.99),
+        "latency_mean_ms": 1e3 * (sum(flat) / len(flat)) if flat else 0.0,
+    }
+
+
+def _op_load(
+    handle: ThreadedServer,
+    blob: bytes,
+    chain: list[tuple[str, float | None]],
+    expected: bytes,
+    clients: int,
+    requests_per_client: int,
+) -> dict[str, Any]:
+    """PUT ``blob`` on a running server, then drive ``chain`` OPs at it closed-loop."""
+    from repro.service.client import ServiceClient
+
+    with ServiceClient(handle.host, handle.port) as client:
+        client.put("load", blob)
+    return _closed_loop(
+        clients,
+        requests_per_client,
+        lambda _idx: ServiceClient(handle.host, handle.port),
+        lambda session, _idx, _r: session.op("load", chain) == expected,
+    )
 
 
 class ExecutionContext:
     """Shared, cached state across the cells of one run.
 
     Fields, reference streams, and reference reductions are deterministic
-    functions of (dataset, eps, workers) under a fixed
-    :class:`BenchConfig`, so they are computed once and reused — the grid
-    would otherwise recompress the same field for every backend level.
+    functions of (dataset, eps) under a fixed :class:`BenchConfig`, so
+    they are computed once and reused — the grid would otherwise
+    recompress the same field for every backend level.
     """
 
     def __init__(self, cfg: BenchConfig) -> None:
         self.cfg = cfg
         self._fields: dict[str, tuple[str, np.ndarray]] = {}
         self._serial_streams: dict[tuple[str, float], bytes] = {}
-        self._serial_reduce: dict[tuple[str, float, int], tuple[float, float]] = {}
+        self._serial_reduce: dict[tuple[str, float], tuple[float, float]] = {}
         self._chain_refs: dict[tuple[str, float, int], bytes] = {}
         self._szp_blobs: dict[tuple[str, float], dict[str, Any]] = {}
         self._szops_blobs: dict[tuple[str, float], dict[str, Any]] = {}
@@ -123,31 +249,23 @@ class ExecutionContext:
             from repro.core.compressor import SZOps
 
             _, arr = self.lead_field(dataset)
-            codec = SZOps(block_size=_BLOCK_SIZE, n_threads=1, backend="serial")
+            codec = SZOps(n_threads=1, backend="serial")
             self._serial_streams[key] = codec.compress(arr, eps).to_bytes()
         return self._serial_streams[key]
 
-    def serial_reduce(
-        self, dataset: str, eps: float, workers: int
-    ) -> tuple[float, float]:
-        """Serial-backend (mean, variance) at this worker count's chunking.
+    def serial_reduce(self, dataset: str, eps: float) -> tuple[float, float]:
+        """``ops.mean``/``ops.variance`` of the serial stream.
 
-        Variance partials depend on the chunk layout, so the reference is
-        per worker count — the same convention ``run_parallel_backends``
-        uses.
+        The reductions combine exact integer moments, so every backend at
+        every worker count must reproduce them bit for bit.
         """
-        key = (dataset, eps, workers)
+        key = (dataset, eps)
         if key not in self._serial_reduce:
+            from repro.core import ops
             from repro.core.format import SZOpsCompressed
-            from repro.parallel.backends import get_backend
-            from repro.runtime.reduce import parallel_mean, parallel_variance
 
             stream = SZOpsCompressed.from_bytes(self.serial_stream(dataset, eps))
-            with get_backend("serial", workers) as be:
-                self._serial_reduce[key] = (
-                    parallel_mean(stream, be),
-                    parallel_variance(stream, be),
-                )
+            self._serial_reduce[key] = (ops.mean(stream), ops.variance(stream))
         return self._serial_reduce[key]
 
     def chain_reference(self, dataset: str, eps: float, depth: int) -> bytes:
@@ -173,8 +291,8 @@ class ExecutionContext:
             from repro.harness.runner import prepare_fields
 
             fields = prepare_fields(self.cfg, dataset)
-            szp = make_codec("SZp", block_size=_BLOCK_SIZE)
-            szops = SZOps(block_size=_BLOCK_SIZE)
+            szp = make_codec("SZp")
+            szops = SZOps()
             self._szp_blobs[key] = {
                 "codec": szp,
                 "blobs": {f: szp.compress(a, eps) for f, a in fields.items()},
@@ -204,6 +322,7 @@ def _run_pipeline_cell(
     cell: Cell, table: RunTable, cfg: BenchConfig, ctx: ExecutionContext
 ) -> dict[str, Any]:
     from repro.core.compressor import SZOps
+    from repro.core.config import SZOpsConfig
     from repro.core.format import SZOpsCompressed
     from repro.core.ops.dispatch import apply_chain
     from repro.core.validate import bound_slack
@@ -223,6 +342,9 @@ def _run_pipeline_cell(
     fname, arr = ctx.lead_field(dataset)
     ref_stream = ctx.serial_stream(dataset, eps)
 
+    codec = SZOps(
+        config=SZOpsConfig(n_threads=workers, backend=backend, bitpack_kernel=kernel)
+    )
     metrics: dict[str, Any] = {
         "dataset": dataset,
         "field": fname,
@@ -235,37 +357,18 @@ def _run_pipeline_cell(
         "repeats": repeats,
         "n_elements": int(arr.size),
         "bytes": int(arr.nbytes),
-        "block_size": _BLOCK_SIZE,
+        "block_size": codec.block_size,
     }
 
-    from repro.core.config import SZOpsConfig
+    def compress() -> tuple[SZOpsCompressed, dict[str, float]]:
+        timings: dict[str, float] = {}
+        return codec.compress(arr, eps, timings=timings), timings
 
-    codec = SZOps(
-        config=SZOpsConfig(
-            block_size=_BLOCK_SIZE,
-            n_threads=workers,
-            backend=backend,
-            bitpack_kernel=kernel,
-        )
-    )
     try:
-        best_c = float("inf")
-        stages: dict[str, float] = {}
-        stream = None
-        compress_reps: list[float] = []
-        for _ in range(repeats):
-            timings: dict[str, float] = {}
-            with Timer() as t:
-                c = codec.compress(arr, eps, timings=timings)
-            compress_reps.append(t.seconds)
-            if t.seconds < best_c:
-                best_c, stages, stream = t.seconds, timings, c
-        assert stream is not None
-
+        best_c, compress_reps, (stream, stages) = _best_and_reps(compress, repeats)
         best_d, decompress_reps, out = _best_and_reps(
             lambda: codec.decompress(stream), repeats
         )
-
         stream_bytes = stream.to_bytes()
         same_stream = stream_bytes == ref_stream
         roundtrip_ok = bool(
@@ -275,13 +378,11 @@ def _run_pipeline_cell(
         codec.close()
 
     with get_backend(backend, workers) as be:
-        best_r, reduce_reps, _ = _best_and_reps(
+        best_r, reduce_reps, (mu, var) = _best_and_reps(
             lambda: (parallel_mean(stream, be), parallel_variance(stream, be)),
             repeats,
         )
-        mu = parallel_mean(stream, be)
-        var = parallel_variance(stream, be)
-    same_reduce = (mu, var) == ctx.serial_reduce(dataset, eps, workers)
+    same_reduce = (mu, var) == ctx.serial_reduce(dataset, eps)
 
     metrics.update(
         {
@@ -320,9 +421,7 @@ def _run_pipeline_cell(
         )
         metrics.update(
             {
-                "chain": [
-                    n if s is None else f"{n}={s:g}" for n, s in chain
-                ],
+                "chain": _chain_labels(chain),
                 "chain_seconds": best_chain,
                 "chain_seconds_reps": chain_reps,
                 "chain_identical": bool(chain_identical),
@@ -331,97 +430,34 @@ def _run_pipeline_cell(
         ok = ok and bool(chain_identical)
 
     if clients > 0:
-        service = _drive_service(
-            cell, table, stream_bytes, chain_depth, clients,
-            ctx, dataset, eps,
+        from repro.service.server import ServiceConfig, ThreadedServer
+
+        requests_per_client = int(table.options.get("requests_per_client", 4))
+        batching = bool(f.get("batching", True))
+        depth = max(chain_depth, 1)
+        config = ServiceConfig(
+            batching=batching,
+            max_pending=max(64, 4 * clients * requests_per_client),
+        )
+        with ThreadedServer(config) as handle:
+            service = _op_load(
+                handle,
+                stream_bytes,
+                chain_for_depth(depth),
+                ctx.chain_reference(dataset, eps, depth),
+                clients,
+                requests_per_client,
+            )
+        service["batching"] = batching
+        service["replies_identical"] = (
+            service["mismatched_replies"] == 0
+            and service["completed_requests"] == service["total_requests"]
         )
         metrics["service"] = service
         ok = ok and service["replies_identical"] and not service["errors"]
 
     metrics["ok"] = ok
     return metrics
-
-
-def _drive_service(
-    cell: Cell,
-    table: RunTable,
-    blob: bytes,
-    chain_depth: int,
-    clients: int,
-    ctx: ExecutionContext,
-    dataset: str,
-    eps: float,
-) -> dict[str, Any]:
-    """Stand up a real server and hammer it with a closed-loop client fleet."""
-    import threading
-    import time
-
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServiceConfig, ThreadedServer
-
-    requests_per_client = int(table.options.get("requests_per_client", 4))
-    batching = bool(cell.factors.get("batching", True))
-    depth = max(chain_depth, 1)
-    chain = chain_for_depth(depth)
-    expected = ctx.chain_reference(dataset, eps, depth)
-
-    config = ServiceConfig(
-        batching=batching,
-        max_pending=max(64, 4 * clients * requests_per_client),
-    )
-    latencies: list[float] = []
-    errors: list[str] = []
-    mismatches = [0]
-    lock = threading.Lock()
-
-    with ThreadedServer(config) as handle:
-        with ServiceClient(handle.host, handle.port) as client:
-            client.put("cell", blob)
-
-        barrier = threading.Barrier(clients + 1)
-
-        def worker(idx: int) -> None:
-            try:
-                with ServiceClient(handle.host, handle.port) as cl:
-                    barrier.wait()
-                    for _ in range(requests_per_client):
-                        t0 = time.perf_counter()
-                        reply = cl.op("cell", chain)
-                        dt = time.perf_counter() - t0
-                        with lock:
-                            latencies.append(dt)
-                            if reply != expected:
-                                mismatches[0] += 1
-            except Exception as exc:  # recorded, not raised: the cell reports
-                with lock:
-                    errors.append(f"client {idx}: {type(exc).__name__}: {exc}")
-                if barrier.n_waiting:
-                    barrier.abort()
-
-        threads = [
-            threading.Thread(target=worker, args=(i,), name=f"exp-client-{i}")
-            for i in range(clients)
-        ]
-        for t in threads:
-            t.start()
-        barrier.wait()
-        t_start = time.perf_counter()
-        for t in threads:
-            t.join()
-        wall_s = time.perf_counter() - t_start
-
-    total = clients * requests_per_client
-    return {
-        "batching": batching,
-        "clients": clients,
-        "requests_per_client": requests_per_client,
-        "total_requests": total,
-        "completed_requests": len(latencies),
-        "errors": errors,
-        "wall_seconds": wall_s,
-        "throughput_rps": len(latencies) / wall_s if wall_s > 0 else 0.0,
-        "replies_identical": mismatches[0] == 0 and len(latencies) == total,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -541,72 +577,278 @@ def _run_bitpack_cell(
 
 
 # --------------------------------------------------------------------------
-# Workloads: fusion / service (the wrapped legacy BENCH producers)
+# Workload: fusion (BENCH_runtime.json)
 # --------------------------------------------------------------------------
 
 
 def _run_fusion_cell(
     cell: Cell, table: RunTable, cfg: BenchConfig, ctx: ExecutionContext
 ) -> dict[str, Any]:
-    import dataclasses
+    """Fused negate -> x0.1 -> mean against eager ops on the lead field.
 
-    from repro.harness.runner import run_runtime_fusion
+    Four variants: **eager** (three ``apply_operation`` calls with the
+    decoded-block cache off — every partial op decodes), **eager+cache**
+    (the same calls, cache cleared before each repetition), **fused cold**
+    (one ``apply_chain`` through :class:`LazyStream`: one decode, the
+    pending transform folded into the reduction, no encode) and **fused
+    warm**.  All four must return the identical mean.
+    """
+    from repro.core.compressor import SZOps
+    from repro.core.ops.dispatch import apply_chain
+    from repro.runtime import cache_disabled, clear_cache
 
     f = cell.factors
-    cell_cfg = dataclasses.replace(
-        cfg, datasets=(str(f["dataset"]),), eps=float(f["eps"])
-    )
-    result = run_runtime_fusion(cell_cfg, min_repeats=table.repeats)
-    metrics = dict(result.extras["bench"])
-    metrics["ok"] = bool(metrics["identical_results"])
-    return metrics
+    dataset = str(f["dataset"])
+    eps = float(f["eps"])
+    fname, arr = ctx.lead_field(dataset)
+    codec = SZOps()
+    c = codec.compress(arr, eps)
+    chain: list[tuple[str, float | None]] = [
+        ("negation", None),
+        ("scalar_multiply", 0.1),
+        ("mean", None),
+    ]
+    reps = max(cfg.repeats, table.repeats)
+
+    def eager() -> Any:
+        return apply_chain(c, chain, fused=False)
+
+    def fused() -> Any:
+        return apply_chain(c, chain, fused=True)
+
+    with cache_disabled():
+        eager_s, _, eager_value = _best_and_reps(eager, reps)
+        # Per-op breakdown of the eager chain (Figure 5 style).
+        breakdown: dict[str, float] = {}
+        stream: Any = c
+        for name, s in chain:
+            with Timer() as t:
+                out = apply_chain(stream, [(name, s)], fused=False)
+            breakdown[name] = t.seconds
+            stream = out if not isinstance(out, float) else stream
+    cached_s, _, cached_value = _best_and_reps(eager, reps, prepare=clear_cache)
+    fused_s, _, fused_value = _best_and_reps(fused, reps, prepare=clear_cache)
+    warm_s, _, warm_value = _best_and_reps(fused, reps)
+
+    identical = eager_value == fused_value == cached_value == warm_value
+    return {
+        "experiment": "runtime_fusion",
+        "chain": _chain_labels(chain),
+        "dataset": dataset,
+        "field": fname,
+        "shape": list(arr.shape),
+        "n_elements": int(arr.size),
+        "eps": eps,
+        "block_size": codec.block_size,
+        "repeats": reps,
+        "eager_seconds": eager_s,
+        "eager_breakdown_seconds": breakdown,
+        "eager_cached_seconds": cached_s,
+        "fused_seconds": fused_s,
+        "fused_warm_seconds": warm_s,
+        "speedup_fused_vs_eager": eager_s / fused_s if fused_s > 0 else float("inf"),
+        "speedup_warm_vs_eager": eager_s / warm_s if warm_s > 0 else float("inf"),
+        "result_mean": eager_value,
+        "identical_results": bool(identical),
+        "ok": bool(identical),
+    }
+
+
+# --------------------------------------------------------------------------
+# Workload: service (BENCH_service.json)
+# --------------------------------------------------------------------------
 
 
 def _run_service_cell(
     cell: Cell, table: RunTable, cfg: BenchConfig, ctx: ExecutionContext
 ) -> dict[str, Any]:
-    from repro.service.bench import run_service_bench
+    """Batched vs unbatched serving of the depth-3 chain on one hot array.
+
+    That is the load micro-batching is built for: the unbatched server
+    pays one executor hop and one re-encode per request, the batched one
+    answers a whole flight of identical requests from a single decode +
+    encode.  The admission cap is sized above the fleet, so any error is
+    a bug.
+    """
+    from repro.core.compressor import SZOps
+    from repro.core.format import SZOpsCompressed
+    from repro.service.client import ServiceClient
+    from repro.service.server import ServiceConfig, ThreadedServer
 
     f = cell.factors
-    metrics = dict(
-        run_service_bench(
-            dataset=str(f["dataset"]),
-            scale=cfg.scale,
-            eps=float(f["eps"]),
-            n_clients=int(f["clients"]),
-            requests_per_client=int(table.options.get("requests_per_client", 25)),
-            backend=str(table.options.get("backend", "serial")),
-            n_workers=int(table.options.get("n_workers", 1)),
-            seed=cfg.seed,
+    dataset = str(f["dataset"])
+    eps = float(f["eps"])
+    clients = int(f["clients"])
+    requests_per_client = int(table.options.get("requests_per_client", 25))
+    backend = str(table.options.get("backend", "serial"))
+    n_workers = int(table.options.get("n_workers", 1))
+    repeats = max(table.repeats, 3)
+
+    fname, arr = ctx.lead_field(dataset)
+    blob = ctx.serial_stream(dataset, eps)
+    chain = chain_for_depth(3)
+    expected = ctx.chain_reference(dataset, eps, len(chain))
+    codec = SZOps()
+
+    variants: dict[str, dict[str, Any]] = {}
+    reduce_section: dict[str, Any] = {}
+    for label, batching in (("batched", True), ("unbatched", False)):
+        config = ServiceConfig(
+            backend=backend,
+            n_workers=n_workers,
+            batching=batching,
+            max_pending=max(64, 4 * clients * requests_per_client),
         )
-    )
-    metrics["ok"] = bool(
-        metrics["total_errors"] == 0 and metrics["bit_identical_to_eager"]
-    )
-    return metrics
+        with ThreadedServer(config) as handle:
+            load = _op_load(
+                handle, blob, chain, expected, clients, requests_per_client
+            )
+            with ServiceClient(handle.host, handle.port) as client:
+                if batching:
+                    load["server_stats"] = {
+                        k: v
+                        for k, v in client.stats()["counters"].items()
+                        if k.startswith("batch")
+                    }
+                else:
+                    # Compressed-domain REDUCE vs fetch-and-decompress, both
+                    # over the wire, on the unbatched server so neither path
+                    # pays the coalescing window.
+                    def fetch_and_mean() -> float:
+                        raw = client.get("load")
+                        decoded = codec.decompress(SZOpsCompressed.from_bytes(raw))
+                        return float(np.mean(decoded))
+
+                    reduce_s, _, reduce_value = _best_and_reps(
+                        lambda: client.reduce("load", "mean"), repeats
+                    )
+                    fetch_s, _, fetch_value = _best_and_reps(fetch_and_mean, repeats)
+                    reduce_section = {
+                        "reduction": "mean",
+                        "repeats": repeats,
+                        "compressed_domain_seconds": reduce_s,
+                        "fetch_decompress_seconds": fetch_s,
+                        "speedup": fetch_s / reduce_s if reduce_s > 0 else float("inf"),
+                        "compressed_domain_value": reduce_value,
+                        "fetch_decompress_value": fetch_value,
+                        "values_close": bool(
+                            abs(reduce_value - fetch_value)
+                            <= 1e-6 * max(1.0, abs(fetch_value))
+                        ),
+                    }
+        variants[label] = load
+
+    batched, unbatched = variants["batched"], variants["unbatched"]
+    total_errors = len(batched["errors"]) + len(unbatched["errors"])
+    identical = batched["mismatched_replies"] == unbatched["mismatched_replies"] == 0
+    return {
+        "experiment": "service_batching",
+        "dataset": dataset,
+        "field": fname,
+        "shape": list(arr.shape),
+        "n_elements": int(arr.size),
+        "eps": eps,
+        "block_size": codec.block_size,
+        "blob_bytes": len(blob),
+        "chain": _chain_labels(chain),
+        "chain_depth": len(chain),
+        "backend": backend,
+        "n_workers": n_workers,
+        "batched": batched,
+        "unbatched": unbatched,
+        "speedup_batched_vs_unbatched": (
+            batched["throughput_rps"] / unbatched["throughput_rps"]
+            if unbatched["throughput_rps"] > 0
+            else float("inf")
+        ),
+        "reduce_vs_decompress": reduce_section,
+        "total_errors": total_errors,
+        "bit_identical_to_eager": identical,
+        "ok": total_errors == 0 and identical,
+    }
+
+
+# --------------------------------------------------------------------------
+# Workload: cluster (BENCH_cluster.json)
+# --------------------------------------------------------------------------
+
+#: Reductions the cluster load cycles through; every reply must be
+#: bit-identical to the single-node value.
+_CHECKED_REDUCTIONS = ("mean", "minimum", "maximum", "variance")
 
 
 def _run_cluster_cell(
     cell: Cell, table: RunTable, cfg: BenchConfig, ctx: ExecutionContext
 ) -> dict[str, Any]:
-    from repro.cluster.bench import run_cluster_bench
+    """Mixed PUT + distributed-REDUCE load on sharded arrays.
+
+    Every tenth request of a client is a PUT of a fresh small array; the
+    rest are reductions, each compared with the single-node
+    :class:`~repro.runtime.lazy.LazyStream` value (exact PREDUCE moments
+    make them equal bit for bit).
+    """
+    from contextlib import nullcontext
+
+    from repro.cluster import local_cluster
+    from repro.core.compressor import SZOps
+    from repro.runtime.lazy import LazyStream
 
     f = cell.factors
-    metrics = dict(
-        run_cluster_bench(
-            n_nodes=int(f["nodes"]),
-            replicas=int(f["replicas"]),
-            n_clients=int(f["clients"]),
-            requests_per_client=int(table.options.get("requests_per_client", 25)),
-            n_arrays=int(table.options.get("n_arrays", 4)),
-            chunks=int(table.options.get("chunks", 6)),
-            n_elements=int(table.options.get("n_elements", 30_000)),
-            eps=float(table.options.get("eps", 1e-3)),
-            seed=cfg.seed,
+    n_nodes = int(f["nodes"])
+    replicas = int(f["replicas"])
+    clients = int(f["clients"])
+    requests_per_client = int(table.options.get("requests_per_client", 25))
+    n_arrays = int(table.options.get("n_arrays", 4))
+    chunks = int(table.options.get("chunks", 6))
+    n_elements = int(table.options.get("n_elements", 30_000))
+    eps = float(table.options.get("eps", 1e-3))
+
+    rng = np.random.default_rng(cfg.seed)
+    codec = SZOps()
+    arrays: list[tuple[str, Any]] = []
+    expected: dict[tuple[str, str], float] = {}
+    for i in range(n_arrays):
+        data = np.cumsum(rng.normal(scale=5e-3, size=n_elements)).astype(np.float32)
+        c = codec.compress(data, eps)
+        name = f"bench-{i}"
+        arrays.append((name, c))
+        for reduction in _CHECKED_REDUCTIONS:
+            expected[(name, reduction)] = float(getattr(LazyStream(c), reduction)())
+
+    with local_cluster(n_nodes, replicas=replicas) as (router, _handles):
+        for name, c in arrays:
+            router.put(name, c, chunks=chunks)
+
+        def request(local_rng: np.random.Generator, idx: int, r: int) -> bool:
+            if r % 10 == 9:
+                extra = local_rng.normal(scale=5e-3, size=2048).cumsum().astype(np.float32)
+                router.put(f"w-{idx}-{r}", codec.compress(extra, eps))
+                return True
+            name, _c = arrays[(idx + r) % len(arrays)]
+            reduction = _CHECKED_REDUCTIONS[r % len(_CHECKED_REDUCTIONS)]
+            return router.reduce(name, reduction) == expected[(name, reduction)]
+
+        load = _closed_loop(
+            clients,
+            requests_per_client,
+            lambda idx: nullcontext(np.random.default_rng(cfg.seed + idx + 1)),
+            request,
         )
-    )
-    # run_cluster_bench already sets "ok" (no errors, zero identity failures).
-    return metrics
+        telemetry = router.telemetry.snapshot()
+
+    identity_failures = load.pop("mismatched_replies")
+    return {
+        "nodes": n_nodes,
+        "replicas": replicas,
+        "chunks": chunks,
+        "arrays": n_arrays,
+        "n_elements": n_elements,
+        **load,
+        "identity_failures": identity_failures,
+        "router_counters": telemetry["counters"],
+        "router_keyed_counters": telemetry["keyed_counters"],
+        "ok": not load["errors"] and identity_failures == 0,
+    }
 
 
 WORKLOADS: dict[str, Callable[..., dict[str, Any]]] = {

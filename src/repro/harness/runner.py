@@ -4,38 +4,36 @@ Each ``run_*`` function measures one artifact (see DESIGN.md's experiment
 index) and returns an :class:`ExperimentResult` whose rows mirror the
 paper's layout.  The benchmark modules under ``benchmarks/`` call these
 drivers and persist their renderings; ``repro.harness.records`` assembles
-EXPERIMENTS.md from the same objects.
+EXPERIMENTS.md from the same objects.  Figures 5/6 only render: their
+measurements are the ``ops-matrix`` cells of the experiment engine
+(:mod:`repro.harness.experiments`), which times every other workload too.
 
 Workload preparation is shared: fields come from the synthetic SDRBench
-stand-ins at the configured scale, and every codec runs with the paper's
-block geometry (64-element blocks, Table VI).
+stand-ins at the configured scale, and every codec runs with its default
+block geometry, the paper's 64-element blocks (Table VI).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from repro.baselines import make_codec
 from repro.core.compressor import SZOps
 from repro.core.format import SZOpsCompressed
 from repro.core.ops.dispatch import OPERATIONS, operation_names
-from repro.core.validate import bound_slack
 from repro.datasets import generate_fields, get_dataset
 from repro.harness.config import BenchConfig
 from repro.metrics import Timer, mb_per_s, gb_per_s, mean_ratio
 from repro.parallel import kernels
-from repro.parallel.backends import ExecutionBackend, available_backends, get_backend
-from repro.workflow import run_compressed, run_traditional
+from repro.parallel.backends import ExecutionBackend, get_backend
+from repro.workflow import run_traditional
 
 __all__ = [
     "ExperimentResult",
     "OpMeasurement",
     "prepare_fields",
     "compress_fields",
-    "measure_ops_matrix",
     "run_table4",
     "run_figure5",
     "run_figure6",
@@ -43,18 +41,12 @@ __all__ = [
     "run_table7",
     "run_ablation_format",
     "run_ablation_constant_blocks",
-    "run_runtime_fusion",
-    "run_parallel_backends",
-    "largest_dataset",
     "DEFAULT_SCALAR",
 ]
 
 #: Scalar operand used for scalar add/sub/mul across the evaluation
 #: (mirrors the paper's Section V examples).
 DEFAULT_SCALAR = 3.14
-
-#: The paper's block geometry (Table VI implies 64-element blocks).
-BLOCK_SIZE = 64
 
 
 @dataclass
@@ -81,7 +73,7 @@ def compress_fields(
     eps: float,
     backend: str | ExecutionBackend = "serial",
     n_workers: int = 1,
-    block_size: int = BLOCK_SIZE,
+    block_size: int = 64,
     mode: str = "abs",
 ) -> dict[str, SZOpsCompressed]:
     """Compress a timestep's worth of fields through an execution backend.
@@ -205,48 +197,12 @@ class OpMeasurement:
         return self.szp_total_s / self.szops_kernel_s
 
 
-def measure_ops_matrix(cfg: BenchConfig) -> list[OpMeasurement]:
-    """Measure every (dataset, operation) for SZp-traditional vs SZOps."""
-    szp = make_codec("SZp", block_size=BLOCK_SIZE)
-    szops = SZOps(block_size=BLOCK_SIZE)
-    out: list[OpMeasurement] = []
-    for dataset in cfg.datasets:
-        fields = prepare_fields(cfg, dataset)
-        total_bytes = sum(arr.nbytes for arr in fields.values())
-        szp_blobs = {f: szp.compress(arr, cfg.eps) for f, arr in fields.items()}
-        szops_blobs = {f: szops.compress(arr, cfg.eps) for f, arr in fields.items()}
-        for op in operation_names():
-            scalar = DEFAULT_SCALAR if OPERATIONS[op].needs_scalar else None
-            best = None
-            for _ in range(cfg.repeats):
-                dec = opr = cmp_ = kern = 0.0
-                for fname in fields:
-                    tres = run_traditional(szp, szp_blobs[fname], op, scalar)
-                    dec += tres.timing.decompress
-                    opr += tres.timing.operate
-                    cmp_ += tres.timing.compress
-                    cres = run_compressed(szops_blobs[fname], op, scalar)
-                    kern += cres.kernel_seconds
-                cand = (dec, opr, cmp_, kern)
-                if best is None or sum(cand) < sum(best):
-                    best = cand
-            out.append(
-                OpMeasurement(
-                    dataset=dataset,
-                    op_name=op,
-                    bytes=total_bytes,
-                    szp_decompress_s=best[0],
-                    szp_operate_s=best[1],
-                    szp_compress_s=best[2],
-                    szops_kernel_s=best[3],
-                )
-            )
-    return out
+def run_figure5(cfg: BenchConfig, matrix: list[OpMeasurement]) -> ExperimentResult:
+    """Time-cost breakdown: SZp decompress/operate/compress vs SZOps total.
 
-
-def run_figure5(cfg: BenchConfig, matrix: list[OpMeasurement] | None = None) -> ExperimentResult:
-    """Time-cost breakdown: SZp decompress/operate/compress vs SZOps total."""
-    matrix = measure_ops_matrix(cfg) if matrix is None else matrix
+    ``matrix`` holds the ``ops-matrix`` engine cells, lifted by
+    :func:`repro.harness.experiments.ops_matrix_from_cells`.
+    """
     rows = [
         [
             m.dataset,
@@ -286,9 +242,8 @@ def run_figure5(cfg: BenchConfig, matrix: list[OpMeasurement] | None = None) -> 
     )
 
 
-def run_figure6(cfg: BenchConfig, matrix: list[OpMeasurement] | None = None) -> ExperimentResult:
+def run_figure6(cfg: BenchConfig, matrix: list[OpMeasurement]) -> ExperimentResult:
     """Kernel throughput of SZOps vs end-to-end throughput of SZp."""
-    matrix = measure_ops_matrix(cfg) if matrix is None else matrix
     rows = [
         [
             m.dataset,
@@ -328,7 +283,7 @@ def run_table6(cfg: BenchConfig, eps: float = 1e-2) -> ExperimentResult:
     as value-range-relative (the absolute reading degenerates for the
     small-amplitude fields — recorded in EXPERIMENTS.md).
     """
-    szops = SZOps(block_size=BLOCK_SIZE)
+    szops = SZOps()
     # Block statistics are cheap (SZOps compression only), so this table
     # always counts every field regardless of the max_fields cap — the
     # constant fraction is a per-dataset property, not a per-subset one.
@@ -368,7 +323,7 @@ def run_table7(cfg: BenchConfig) -> ExperimentResult:
     """Average compression ratios per dataset and codec at eps 1e-4."""
     codec_names = ["SZp", "SZ2", "SZ3", "SZx", "ZFP"]
     codecs = {name: make_codec(name) for name in codec_names}
-    szops = SZOps(block_size=BLOCK_SIZE)
+    szops = SZOps()
     rows = []
     for dataset in cfg.datasets:
         fields = prepare_fields(cfg, dataset)
@@ -421,10 +376,10 @@ def run_ablation_format(cfg: BenchConfig) -> ExperimentResult:
     ]
     rows = []
     for label, kwargs in variants:
-        codec = make_codec("SZp", block_size=BLOCK_SIZE, **kwargs)
+        codec = make_codec("SZp", **kwargs)
         ratios = [codec.compress(arr, cfg.eps).compression_ratio for arr in fields.values()]
         rows.append([label, mean_ratio(ratios)])
-    szops = SZOps(block_size=BLOCK_SIZE)
+    szops = SZOps()
     rows.append(
         [
             "SZOps container",
@@ -445,278 +400,6 @@ def run_ablation_format(cfg: BenchConfig) -> ExperimentResult:
     )
 
 
-# --------------------------------------------------------------------------
-# Runtime fusion — fused op chain vs eager ops (repro.runtime)
-# --------------------------------------------------------------------------
-
-
-def largest_dataset(cfg: BenchConfig) -> str:
-    """The configured dataset with the most elements per field."""
-    return max(
-        cfg.datasets,
-        key=lambda name: int(np.prod(get_dataset(name).shape_at(cfg.scale))),
-    )
-
-
-def run_runtime_fusion(
-    cfg: BenchConfig, scalar: float = 0.1, min_repeats: int = 3
-) -> ExperimentResult:
-    """Benchmark the fused 3-op chain (negate → ×scalar → mean) vs eager ops.
-
-    Three variants on the largest synthetic dataset's first field:
-
-    * **eager** — three ``apply_operation`` calls with the decoded-block
-      cache disabled (the pre-runtime behavior: every partial op decodes);
-    * **eager+cache** — the same three calls with the cache on (the decode
-      inside ``scalar_multiply`` and ``mean`` hit when streams repeat);
-    * **fused** — one ``apply_chain`` through :class:`LazyStream`: a single
-      cold decode, pending transform folded into the reduction, no encode.
-
-    The fused and eager results must be identical (asserted into the
-    ``identical`` extra).  ``extras["bench"]`` carries the JSON payload that
-    ``BENCH_runtime.json`` persists.
-    """
-    from repro.core.ops.dispatch import apply_chain
-    from repro.runtime import cache_disabled, clear_cache
-
-    dataset = largest_dataset(cfg)
-    spec = get_dataset(dataset)
-    fname = spec.fields[0].name
-    arr = generate_fields(dataset, scale=cfg.scale, seed=cfg.seed, fields=[fname])[fname]
-    szops = SZOps(block_size=BLOCK_SIZE)
-    c = szops.compress(arr, cfg.eps)
-    chain = [("negation", None), ("scalar_multiply", scalar), ("mean", None)]
-    reps = max(cfg.repeats, min_repeats)
-
-    def best(
-        fn: Callable[[], float], prepare: Callable[[], object] | None = None
-    ) -> tuple[float, float]:
-        best_s, value = float("inf"), float("nan")
-        for _ in range(reps):
-            if prepare is not None:
-                prepare()
-            with Timer() as t:
-                value = fn()
-            best_s = min(best_s, t.seconds)
-        return best_s, value
-
-    with cache_disabled():
-        eager_s, eager_value = best(lambda: apply_chain(c, chain, fused=False))
-        # Per-op breakdown of the eager chain (Figure 5 style).
-        breakdown = {}
-        stream = c
-        for name, s in chain:
-            with Timer() as t:
-                out = apply_chain(stream, [(name, s)], fused=False)
-            breakdown[name] = t.seconds
-            stream = out if not isinstance(out, float) else stream
-    cached_s, cached_value = best(
-        lambda: apply_chain(c, chain, fused=False), prepare=clear_cache
-    )
-    fused_s, fused_value = best(
-        lambda: apply_chain(c, chain, fused=True), prepare=clear_cache
-    )
-    warm_s, warm_value = best(lambda: apply_chain(c, chain, fused=True))
-
-    identical = eager_value == fused_value == cached_value == warm_value
-    speedup = eager_s / fused_s if fused_s > 0 else float("inf")
-    rows = [
-        ["eager (no cache)", 1e3 * eager_s, 1.0, repr(eager_value)],
-        ["eager + decoded-block cache", 1e3 * cached_s, eager_s / cached_s, repr(cached_value)],
-        ["fused (cold cache)", 1e3 * fused_s, speedup, repr(fused_value)],
-        ["fused (warm cache)", 1e3 * warm_s, eager_s / warm_s, repr(warm_value)],
-    ]
-    bench = {
-        "experiment": "runtime_fusion",
-        "chain": [name if s is None else f"{name}={s}" for name, s in chain],
-        "dataset": dataset,
-        "field": fname,
-        "shape": list(arr.shape),
-        "n_elements": int(arr.size),
-        "eps": cfg.eps,
-        "block_size": BLOCK_SIZE,
-        "repeats": reps,
-        "eager_seconds": eager_s,
-        "eager_breakdown_seconds": breakdown,
-        "eager_cached_seconds": cached_s,
-        "fused_seconds": fused_s,
-        "fused_warm_seconds": warm_s,
-        "speedup_fused_vs_eager": speedup,
-        "speedup_warm_vs_eager": eager_s / warm_s if warm_s > 0 else float("inf"),
-        "result_mean": eager_value,
-        "identical_results": bool(identical),
-    }
-    return ExperimentResult(
-        exp_id="runtime_fusion",
-        title=(
-            f"Runtime fusion: negate → ×{scalar:g} → mean on {dataset}/{fname} "
-            f"({arr.size} elements, eps={cfg.eps:g})"
-        ),
-        headers=["variant", "best of reps (ms)", "speedup vs eager", "mean"],
-        rows=rows,
-        notes=[
-            "eager = three apply_operation calls, decoded-block cache off;",
-            "fused = one LazyStream chain: one decode, no encode, transform "
-            "folded into the reduction;",
-            f"identical results across all variants: {identical}.",
-        ],
-        extras={"bench": bench},
-    )
-
-
-# --------------------------------------------------------------------------
-# Parallel backends — serial vs threads vs processes on the chunked hot paths
-# --------------------------------------------------------------------------
-
-
-def run_parallel_backends(
-    cfg: BenchConfig,
-    workers: tuple[int, ...] = (1, 2, 4, 8),
-    dataset: str = "Miranda",
-    min_repeats: int = 3,
-) -> ExperimentResult:
-    """Benchmark the execution backends on compression and reductions.
-
-    For every backend × worker count on the synthetic Miranda density
-    field: compress (with the QZ/LZ/BF stage split), decompress, and the
-    backend-routed mean/variance reductions — best of ``repeats``.  Streams
-    and reduction values are asserted identical to the serial baseline
-    (bit-identity is the contract, not a tolerance), and the verdicts land
-    in ``extras["bench"]`` for ``BENCH_parallel.json``.
-    """
-    import os
-
-    spec = get_dataset(dataset)
-    fname = spec.fields[0].name
-    arr = generate_fields(dataset, scale=cfg.scale, seed=cfg.seed, fields=[fname])[fname]
-    reps = max(cfg.repeats, min_repeats)
-    cpus = os.cpu_count() or 1
-
-    baseline = SZOps(block_size=BLOCK_SIZE, n_threads=1, backend="serial")
-    ref_stream = baseline.compress(arr, cfg.eps).to_bytes()
-
-    from repro.runtime.reduce import parallel_mean, parallel_variance
-
-    rows: list[list] = []
-    cells: list[dict] = []
-    identical = True
-    serial_compress: dict[int, float] = {}
-    ref_reduce: dict[int, tuple[float, float]] = {}
-    for backend_name in available_backends():
-        for nw in workers:
-            codec = SZOps(block_size=BLOCK_SIZE, n_threads=nw, backend=backend_name)
-            try:
-                best_c = float("inf")
-                stages = {"quantize_s": 0.0, "lorenzo_s": 0.0, "encode_s": 0.0}
-                stream = None
-                for _ in range(reps):
-                    timings: dict[str, float] = {}
-                    with Timer() as t:
-                        c = codec.compress(arr, cfg.eps, timings=timings)
-                    if t.seconds < best_c:
-                        best_c, stages, stream = t.seconds, timings, c
-                best_d = float("inf")
-                for _ in range(reps):
-                    with Timer() as t:
-                        out = codec.decompress(stream)
-                    best_d = min(best_d, t.seconds)
-                same_stream = stream.to_bytes() == ref_stream
-                same_roundtrip = bool(
-                    float(np.abs(out - arr).max())
-                    <= cfg.eps + bound_slack(arr, cfg.eps)
-                )
-            finally:
-                codec.close()
-
-            best_r = float("inf")
-            with get_backend(backend_name, nw) as be:
-                for _ in range(reps):
-                    with Timer() as t:
-                        mu = parallel_mean(stream, be)
-                        var = parallel_variance(stream, be)
-                    best_r = min(best_r, t.seconds)
-            if backend_name == "serial":
-                serial_compress[nw] = best_c
-                # Variance partials depend on the chunking, so the serial
-                # reference is per worker count, never cross-count.
-                ref_reduce[nw] = (mu, var)
-            same_reduce = (mu, var) == ref_reduce[nw]
-            identical = identical and same_stream and same_reduce and same_roundtrip
-
-            speedup = serial_compress.get(nw, best_c) / best_c if best_c > 0 else 0.0
-            rows.append(
-                [
-                    backend_name,
-                    nw,
-                    1e3 * best_c,
-                    1e3 * best_d,
-                    1e3 * best_r,
-                    speedup,
-                    "yes" if (same_stream and same_reduce) else "NO",
-                ]
-            )
-            cells.append(
-                {
-                    "backend": backend_name,
-                    "workers": nw,
-                    "compress_seconds": best_c,
-                    "compress_stage_seconds": {
-                        "QZ": stages.get("quantize_s", 0.0),
-                        "LZ": stages.get("lorenzo_s", 0.0),
-                        "BF": stages.get("encode_s", 0.0),
-                    },
-                    "decompress_seconds": best_d,
-                    "reduce_seconds": best_r,
-                    "mean": mu,
-                    "variance": var,
-                    "stream_identical": bool(same_stream),
-                    "reductions_identical": bool(same_reduce),
-                }
-            )
-
-    bench = {
-        "experiment": "parallel_backends",
-        "dataset": dataset,
-        "field": fname,
-        "shape": list(arr.shape),
-        "n_elements": int(arr.size),
-        "bytes": int(arr.nbytes),
-        "eps": cfg.eps,
-        "block_size": BLOCK_SIZE,
-        "repeats": reps,
-        "workers": list(workers),
-        "backends": list(available_backends()),
-        "cpus": cpus,
-        "all_identical": bool(identical),
-        "cells": cells,
-    }
-    return ExperimentResult(
-        exp_id="parallel_backends",
-        title=(
-            f"Execution backends on {dataset}/{fname} ({arr.size} elements, "
-            f"eps={cfg.eps:g}, {cpus} CPU(s)): compress / decompress / "
-            f"mean+variance, best of {reps}"
-        ),
-        headers=[
-            "backend",
-            "workers",
-            "compress (ms)",
-            "decompress (ms)",
-            "mean+var (ms)",
-            "speedup vs serial",
-            "identical",
-        ],
-        rows=rows,
-        notes=[
-            "All backends share one chunking and one kernel set; streams and "
-            "reductions are bit-identical by construction (asserted).",
-            f"Host has {cpus} CPU(s); process/thread scaling is bounded by "
-            "physical cores, so single-core hosts show overhead, not speedup.",
-        ],
-        extras={"bench": bench},
-    )
-
-
 def run_ablation_constant_blocks(cfg: BenchConfig) -> ExperimentResult:
     """Section VI-B2: reduction kernel time tracks the constant fraction."""
     from repro.datasets.synthetic import FieldSpec, synthesize_field
@@ -724,7 +407,7 @@ def run_ablation_constant_blocks(cfg: BenchConfig) -> ExperimentResult:
     from repro.runtime import cache_disabled
 
     shape = (64, 96, 96)
-    szops = SZOps(block_size=BLOCK_SIZE)
+    szops = SZOps()
     rows = []
     for plateau in (0.0, 0.2, 0.4, 0.6, 0.8):
         spec = FieldSpec("sweep", beta=6.3, amplitude=0.03, plateau=plateau, noise=5e-5)

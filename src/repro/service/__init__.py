@@ -29,7 +29,6 @@ See docs/SERVICE.md for the wire format and operational semantics.
 """
 
 from repro.service.batching import MicroBatcher
-from repro.service.bench import run_service_bench
 from repro.service.client import (
     AsyncServiceClient,
     ConnectionLost,
@@ -66,5 +65,4 @@ __all__ = [
     "StoreMiss",
     "Telemetry",
     "ThreadedServer",
-    "run_service_bench",
 ]

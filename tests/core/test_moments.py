@@ -21,8 +21,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import SZOps, lazy, ops
-from repro.cluster import combine_moments, finish_reduction, split_container
-from repro.cluster.bench import local_cluster
+from repro.cluster import (
+    combine_moments,
+    finish_reduction,
+    local_cluster,
+    split_container,
+)
 from repro.core.errors import OperationError
 from repro.core import moments
 from repro.core.moments import QuantizedMoments

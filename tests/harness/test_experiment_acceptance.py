@@ -141,3 +141,46 @@ def test_pipeline_service_cell_drives_a_real_server(tmp_path):
     assert service["completed_requests"] == service["total_requests"] == 4
     assert service["replies_identical"] is True
     assert service["errors"] == []
+
+
+def test_pipeline_reductions_match_across_worker_counts(tmp_path):
+    """Exact moments: one serial reference serves every worker count."""
+    table = RunTable(
+        name="reduce-accept",
+        workload="pipeline",
+        factors={
+            "dataset": ("Miranda",),
+            "eps": (1e-3,),
+            "backend": ("serial", "threads"),
+            "workers": (1, 3),
+            "chain_depth": (0,),
+            "clients": (0,),
+        },
+        repeats=1,
+    )
+    result = run_experiment(table, TINY, tmp_path)
+    assert result.all_ok
+    metrics = [cell["metrics"] for cell in result.cells]
+    assert all(m["reductions_identical"] is True for m in metrics)
+    assert len({(m["mean"], m["variance"]) for m in metrics}) == 1
+
+
+def test_bench_bitpack_writes_a_stamped_snapshot(tmp_path, capsys):
+    from repro.cli import main
+    from repro.harness import BENCH_SCHEMA_VERSION, load_bench_json
+
+    out = tmp_path / "BENCH_bitpack.json"
+    rc = main(
+        [
+            "bench-bitpack", "--widths", "1,11", "--size", "4096",
+            "--repeats", "1", "-o", str(out),
+        ]
+    )
+    assert rc == 0
+    assert f"[bench JSON -> {out}]" in capsys.readouterr().out
+    doc = load_bench_json(out)
+    assert doc["schema_version"] == BENCH_SCHEMA_VERSION == 2
+    assert doc["experiment"] == "bitpack_kernels"
+    assert doc["size"] == 4096
+    assert doc["all_identical"] is True
+    assert {c["width"] for c in doc["cells"]} == {1, 11}

@@ -84,9 +84,20 @@ class TestDriversTinyScale:
             assert all(r > 1 for r in row[1:])
 
     def test_figures_5_and_6_consistent(self, cfg):
-        from repro.harness import measure_ops_matrix, run_figure5, run_figure6
+        from repro.harness import run_figure5, run_figure6
+        from repro.harness.experiments import (
+            ExecutionContext,
+            execute_cell,
+            get_table,
+            ops_matrix_from_cells,
+        )
 
-        matrix = measure_ops_matrix(BenchConfig(scale=0.4, max_fields=1, datasets=("Miranda",)))
+        mcfg = BenchConfig(scale=0.4, max_fields=1, datasets=("Miranda",))
+        table = get_table("ops-matrix", datasets=("Miranda",))
+        ctx = ExecutionContext(mcfg)
+        matrix = ops_matrix_from_cells(
+            [{"metrics": execute_cell(c, table, mcfg, ctx)} for c in table.expand()]
+        )
         f5 = run_figure5(cfg, matrix)
         f6 = run_figure6(cfg, matrix)
         assert len(f5.rows) == len(f6.rows) == 7

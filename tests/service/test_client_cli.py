@@ -9,7 +9,6 @@ import pytest
 
 from repro import ops
 from repro.service import AsyncServiceClient
-from repro.service.bench import run_service_bench
 from repro.service.client import steps_from_chain
 from repro.service.protocol import Step
 
@@ -108,9 +107,14 @@ def test_bench_serve_writes_wellformed_json(tmp_path, capsys):
 
 
 def test_run_service_bench_returns_payload_directly():
-    payload = run_service_bench(
-        scale=0.05, n_clients=2, requests_per_client=2, repeats=1
-    )
+    """The ``service`` workload's cell metrics are the BENCH_service.json payload."""
+    from repro.harness.config import BenchConfig
+    from repro.harness.experiments import ExecutionContext, execute_cell, get_table
+
+    cfg = BenchConfig(scale=0.05)
+    table = get_table("service-batching", clients=2, requests_per_client=2)
+    (cell,) = table.expand()
+    payload = execute_cell(cell, table, cfg, ExecutionContext(cfg))
     assert payload["total_errors"] == 0
     assert payload["bit_identical_to_eager"] is True
     assert payload["batched"]["completed_requests"] == 4
