@@ -13,6 +13,7 @@ import pytest
 from repro import ops
 from repro.core.ops.dispatch import OPERATIONS
 from repro.harness import DEFAULT_SCALAR, run_figure6
+from repro.runtime import cache_disabled
 
 from conftest import emit
 
@@ -21,13 +22,16 @@ from conftest import emit
     "op", ["negation", "scalar_add", "scalar_multiply", "mean", "variance"]
 )
 def test_szops_kernel_throughput(benchmark, szops_blob, op):
-    """Micro-cases: each SZOps kernel in isolation (the navy bars)."""
+    """Micro-cases: each SZOps kernel in isolation (the navy bars).
+
+    Cold, as in the paper: with the decoded-block cache on, every round
+    after the first would read back the view the first one decoded.
+    """
     scalar = DEFAULT_SCALAR if OPERATIONS[op].needs_scalar else None
     benchmark.extra_info["bytes"] = szops_blob.original_nbytes
-    if scalar is None:
-        benchmark(OPERATIONS[op].fn, szops_blob)
-    else:
-        benchmark(OPERATIONS[op].fn, szops_blob, scalar)
+    args = (szops_blob,) if scalar is None else (szops_blob, scalar)
+    with cache_disabled():
+        benchmark(OPERATIONS[op].fn, *args)
 
 
 def test_figure6_report(bench_cfg, ops_matrix):

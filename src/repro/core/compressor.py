@@ -110,7 +110,7 @@ class SZOps:
     """
 
     # Lock discipline (verified lexically by `repro.cli lint`'s lockcheck
-    # pass, same as ChunkedExecutor): every mutation of these attributes
+    # pass, same as ThreadBackend): every mutation of these attributes
     # must hold self._lock.  A codec may be shared across threads — e.g.
     # several in-situ fields compressing concurrently — and an unguarded
     # lazy backend creation can build two pools and leak one.

@@ -23,6 +23,7 @@ from repro.core.ops.scalar_add import ERROR_PROPAGATION as _SHIFT_PROPAGATION
 from repro.core.ops.scalar_add import scalar_add, scalar_subtract
 from repro.core.ops.scalar_mul import ERROR_PROPAGATION as _SCALE_PROPAGATION
 from repro.core.ops.scalar_mul import scalar_multiply
+from repro.parallel.backends import ExecutionBackend
 
 __all__ = [
     "OpSpec",
@@ -281,7 +282,7 @@ def apply_chain(
     c: SZOpsCompressed,
     steps: Sequence,
     fused: bool = True,
-    executor=None,
+    executor: ExecutionBackend | None = None,
 ) -> SZOpsCompressed | float:
     """Apply a chain of operations, fusing pointwise ops when possible.
 
@@ -290,9 +291,9 @@ def apply_chain(
     encode for the whole chain; a terminal reduction skips the encode
     entirely.  ``fused=False`` replays the exact same chain eagerly, one
     operation at a time (the pre-runtime behavior; results are identical).
-    ``executor`` (a :class:`~repro.parallel.executor.ChunkedExecutor` or a
-    thread count) routes fused reduction partial sums through the parallel
-    executor.
+    ``executor`` (an :class:`~repro.parallel.backends.ExecutionBackend`)
+    runs a fused terminal mean/variance/std as chunked partial moments on
+    that backend; ``None`` sums them inline.
     """
     normalized = normalize_chain(steps)
     if not fused:
@@ -311,7 +312,6 @@ def apply_chain(
         if name in CHAIN_REDUCTIONS:
             if name in ("minimum", "maximum"):
                 return getattr(chain, name)()
-            kwargs = {"executor": executor} if executor is not None else {}
-            return getattr(chain, name)(**kwargs)
+            return getattr(chain, name)(executor=executor)
         chain = chain.apply(name, scalar)
     return chain.materialize()

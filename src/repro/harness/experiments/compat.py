@@ -149,6 +149,7 @@ def ops_matrix_from_cells(cells: list[Mapping[str, Any]]) -> list[OpMeasurement]
                 szp_operate_s=float(m["szp_operate_seconds"]),
                 szp_compress_s=float(m["szp_compress_seconds"]),
                 szops_kernel_s=float(m["szops_kernel_seconds"]),
+                szops_kernel_warm_s=float(m["szops_kernel_warm_seconds"]),
             )
         )
     return out

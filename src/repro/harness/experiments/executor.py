@@ -468,8 +468,18 @@ def _run_pipeline_cell(
 def _run_ops_matrix_cell(
     cell: Cell, table: RunTable, cfg: BenchConfig, ctx: ExecutionContext
 ) -> dict[str, Any]:
+    """One (dataset, eps, op) cell: SZp's three stages vs the SZOps kernel.
+
+    ``szops_kernel_seconds`` is the cold kernel, the paper's semantics: an
+    op on a stream it has not decoded before.  Every op cell of a dataset
+    shares the same streams, so with the decoded-block cache on a later op
+    would read the view (and memoised moments) an earlier one decoded.
+    ``szops_kernel_warm_seconds`` reports that cache hit beside it: the
+    same call right after one untimed call on the same stream.
+    """
     from repro.core.ops.dispatch import OPERATIONS
     from repro.harness.runner import DEFAULT_SCALAR
+    from repro.runtime import cache_disabled
     from repro.workflow import run_compressed, run_traditional
 
     f = cell.factors
@@ -484,18 +494,23 @@ def _run_ops_matrix_cell(
     scalar = DEFAULT_SCALAR if OPERATIONS[op].needs_scalar else None
 
     best: tuple[float, float, float, float] | None = None
+    best_warm = float("inf")
     for _ in range(repeats):
-        dec = opr = cmp_ = kern = 0.0
+        dec = opr = cmp_ = kern = warm = 0.0
         for fname in szp_blobs:
             tres = run_traditional(szp, szp_blobs[fname], op, scalar)
             dec += tres.timing.decompress
             opr += tres.timing.operate
             cmp_ += tres.timing.compress
-            cres = run_compressed(szops_blobs[fname], op, scalar)
-            kern += cres.kernel_seconds
+            blob = szops_blobs[fname]
+            with cache_disabled():
+                kern += run_compressed(blob, op, scalar).kernel_seconds
+            run_compressed(blob, op, scalar)  # prime the cache
+            warm += run_compressed(blob, op, scalar).kernel_seconds
         cand = (dec, opr, cmp_, kern)
         if best is None or sum(cand) < sum(best):
             best = cand
+        best_warm = min(best_warm, warm)
     assert best is not None
 
     szp_total = best[0] + best[1] + best[2]
@@ -510,6 +525,7 @@ def _run_ops_matrix_cell(
         "szp_compress_seconds": best[2],
         "szp_total_seconds": szp_total,
         "szops_kernel_seconds": best[3],
+        "szops_kernel_warm_seconds": best_warm,
         "speedup": szp_total / best[3] if best[3] > 0 else float("inf"),
         "ok": best[3] > 0.0,
     }

@@ -109,6 +109,7 @@ def _cell_entry(cell: Mapping[str, Any]) -> dict[str, Any]:
         "mean",
         "variance",
         "szops_kernel_seconds",
+        "szops_kernel_warm_seconds",
         "szp_total_seconds",
     ):
         if scalar_key in metrics:

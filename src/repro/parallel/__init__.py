@@ -1,4 +1,4 @@
-"""Execution substrate: pluggable backends, thread executor, simulated MPI.
+"""Execution substrate: pluggable backends, simulated MPI.
 
 The collectives layer imports the compressor (ranks hold compressed
 streams), while the compressor routes its chunked hot paths through
@@ -20,7 +20,6 @@ from repro.parallel.backends import (
     available_backends,
     get_backend,
 )
-from repro.parallel.executor import ChunkedExecutor, parallel_map
 from repro.parallel.partition import (
     BlockChunk,
     block_aligned_ranges,
@@ -37,8 +36,6 @@ __all__ = [
     "ProcessBackend",
     "available_backends",
     "get_backend",
-    "ChunkedExecutor",
-    "parallel_map",
     "even_ranges",
     "block_aligned_ranges",
     "BlockChunk",

@@ -9,28 +9,20 @@ compressed-domain reductions, the multi-field in-situ harness — goes
 through this one interface, so swapping the substrate is a config knob,
 never a code change.
 
-The universal primitive is :meth:`ExecutionBackend.run_kernel`: a *named,
+The one primitive is :meth:`ExecutionBackend.run_kernel`: a *named,
 module-level* kernel applied to chunk descriptors over a set of shared
 arrays.  Kernels mutate preallocated output arrays in place and return
 only small picklable summaries, which is what lets the process backend
 move array payloads through shared memory instead of pickle (see
-:mod:`repro.parallel.backends.shm`).
-
-``map_ranges``/``map_items`` mirror the old
-:class:`~repro.parallel.executor.ChunkedExecutor` surface for closure
--friendly substrates (serial, threads); the process backend supports them
-only for picklable callables.
+:mod:`repro.parallel.backends.shm`).  Chunked work runs no other way.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 __all__ = [
     "BackendError",
@@ -121,16 +113,6 @@ class ExecutionBackend(ABC):
         caller.  The kernel must be a module-level callable for the
         process backend (it crosses the pickle boundary by name).
         """
-
-    # ------------------------------------------------------------------ maps
-
-    @abstractmethod
-    def map_ranges(self, fn: Callable[[int, int], R], n_items: int) -> list[R]:
-        """Apply ``fn(lo, hi)`` over an even ``n_workers``-way partition."""
-
-    @abstractmethod
-    def map_items(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Apply ``fn`` to each item, preserving order."""
 
     # ------------------------------------------------------------------ lifecycle
 

@@ -2,17 +2,16 @@
 
 Both run kernels against the caller's own arrays — no transport at all —
 which makes them the reference implementations the process backend must
-match bit for bit.  The thread backend follows the same ``_GUARDED_ATTRS``
-lock discipline as :class:`~repro.parallel.executor.ChunkedExecutor`
-(verified by the lockcheck pass): the lazily created pool handle is only
-ever mutated under ``self._lock``.
+match bit for bit.  The thread backend follows the ``_GUARDED_ATTRS``
+lock discipline (verified by the lockcheck pass): the lazily created pool
+handle is only ever mutated under ``self._lock``.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -21,10 +20,6 @@ from repro.parallel.backends.base import (
     ExecutionBackend,
     KernelRun,
 )
-from repro.parallel.partition import even_ranges
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 __all__ = ["SerialBackend", "ThreadBackend", "alloc_outputs"]
 
@@ -44,10 +39,12 @@ def alloc_outputs(
 class SerialBackend(ExecutionBackend):
     """Inline execution; ``n_workers`` only controls the chunk partition.
 
-    Running the *same* chunking as the parallel backends (rather than one
-    monolithic chunk) is deliberate: float reductions are sensitive to
-    partial-sum boundaries, so identical chunking is what makes serial,
-    thread, and process results comparable bit for bit.
+    Callers partition by ``n_workers`` on every backend, so a serial run
+    executes inline exactly the chunks a pooled run would: the reference
+    the cross-backend identity suite holds the pools to, and a way to
+    reproduce a chunk-boundary fault without one.  Results never depend
+    on the partition itself: encoded chunks land at precomputed byte
+    offsets and reductions add exact integer moments.
     """
 
     name = "serial"
@@ -63,12 +60,6 @@ class SerialBackend(ExecutionBackend):
         merged = {**dict(arrays), **outputs}
         results = [kernel(merged, dict(chunk)) for chunk in chunks]
         return KernelRun(results=results, outputs=outputs)
-
-    def map_ranges(self, fn: Callable[[int, int], R], n_items: int) -> list[R]:
-        return [fn(lo, hi) for lo, hi in even_ranges(n_items, self.n_workers)]
-
-    def map_items(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        return [fn(item) for item in items]
 
 
 class ThreadBackend(ExecutionBackend):
@@ -106,22 +97,6 @@ class ThreadBackend(ExecutionBackend):
         pool = self._ensure_pool()
         futures = [pool.submit(kernel, merged, dict(chunk)) for chunk in chunks]
         return KernelRun(results=[f.result() for f in futures], outputs=outputs)
-
-    def map_ranges(self, fn: Callable[[int, int], R], n_items: int) -> list[R]:
-        ranges = even_ranges(n_items, self.n_workers)
-        if len(ranges) == 1:
-            lo, hi = ranges[0]
-            return [fn(lo, hi)]
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
-
-    def map_items(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        if self.n_workers == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, item) for item in items]
-        return [f.result() for f in futures]
 
     def close(self) -> None:
         with self._lock:

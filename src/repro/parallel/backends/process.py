@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -48,10 +48,6 @@ from repro.parallel.backends.base import (
     format_chunk,
 )
 from repro.parallel.backends.shm import ArrayDescriptor, ShmArena, attach_arrays
-from repro.parallel.partition import even_ranges
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 __all__ = ["ProcessBackend", "DEFAULT_TIMEOUT"]
 
@@ -259,7 +255,7 @@ class ProcessBackend(ExecutionBackend):
     def _collect_batches(
         self, pending: list[tuple[list[dict[str, Any]], Any]]
     ) -> list[list[Any]]:
-        """Like :meth:`_collect`, but deadlines scale with batch size."""
+        """Per-batch results in order; deadlines scale with batch size."""
         results: list[list[Any]] = []
         for batch, future in pending:
             chunk = batch[0] if batch else {}
@@ -278,45 +274,6 @@ class ProcessBackend(ExecutionBackend):
                 raise BackendWorkerError(
                     f"process worker exceeded {deadline:g}s on a batch of "
                     f"{len(batch)} chunk(s) starting at {format_chunk(chunk)}",
-                    chunk=chunk,
-                ) from exc
-        return results
-
-    # ------------------------------------------------------------------ maps
-
-    def map_ranges(self, fn: Callable[[int, int], R], n_items: int) -> list[R]:
-        """Pickles ``fn`` — only module-level callables work here."""
-        ranges = even_ranges(n_items, self.n_workers)
-        pool = self._ensure_pool()
-        pending = [
-            ({"lo": lo, "hi": hi}, pool.submit(fn, lo, hi)) for lo, hi in ranges
-        ]
-        return self._collect(pending)
-
-    def map_items(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Pickles ``fn`` and every item — keep both small."""
-        pool = self._ensure_pool()
-        pending = [
-            ({"item": i}, pool.submit(fn, item)) for i, item in enumerate(items)
-        ]
-        return self._collect(pending)
-
-    def _collect(self, pending: list[tuple[dict[str, Any], Any]]) -> list[Any]:
-        results: list[Any] = []
-        for chunk, future in pending:
-            try:
-                results.append(future.result(timeout=self.timeout))
-            except BrokenProcessPool as exc:
-                self._discard_pool(kill=False)
-                raise BackendWorkerError(
-                    f"process worker died while running {format_chunk(chunk)}",
-                    chunk=chunk,
-                ) from exc
-            except FutureTimeoutError as exc:
-                self._discard_pool(kill=True)
-                raise BackendWorkerError(
-                    f"process worker exceeded {self.timeout:g}s on "
-                    f"{format_chunk(chunk)}",
                     chunk=chunk,
                 ) from exc
         return results

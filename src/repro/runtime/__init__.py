@@ -10,9 +10,10 @@ N decodes into one:
   and scalar add/sub/mul into a pending ``(a·x + b)``-style transform that
   is materialized into the quantized domain only when a reduction or
   serialization forces it.
-* :mod:`repro.runtime.reduce` — chunked parallel reductions that route
-  block partial sums through :class:`repro.parallel.executor.ChunkedExecutor`
-  with the constant-block closed forms kept intact.
+* :mod:`repro.runtime.reduce` — chunked parallel reductions that run
+  block partial moments as ``run_kernel`` chunks on an
+  :class:`~repro.parallel.backends.ExecutionBackend`, with the
+  constant-block closed forms kept intact.
 
 See ``docs/FORMAT.md`` ("Runtime fusion semantics") for the laziness and
 cache-key contract, and ``BENCH_runtime.json`` for the measured chain

@@ -64,7 +64,8 @@ from repro.core.ops.negate import negate as eager_negate
 from repro.core.ops.scalar_add import shift_outliers
 from repro.core.ops.scalar_mul import quantized_factor
 from repro.core.quantize import dequantize, quantize_scalar
-from repro.runtime.reduce import Executor, chunked_moments
+from repro.parallel.backends import ExecutionBackend
+from repro.runtime.reduce import chunked_moments
 
 __all__ = ["LazyStream", "IntAffine", "Requantize", "lazy"]
 
@@ -255,27 +256,26 @@ class LazyStream:
 
     # ------------------------------------------------------------------ reductions
 
-    def _moments(self, executor: Executor | None = None) -> QuantizedMoments:
+    def _moments(self, executor: ExecutionBackend | None = None) -> QuantizedMoments:
         steps = self.steps
         if steps and isinstance(steps[-1], IntAffine):
             # sigma*q + shift maps exact moments to exact moments, so the
             # base view's memoised sums serve a negate/add/sub suffix.
             inner = LazyStream(self.base, steps[:-1])._moments(executor)
             return steps[-1].apply_moments(inner)
-        blocks = self._transformed_blocks()
-        if executor is None:
-            return blocks.moments
-        return chunked_moments(blocks, executor)
+        return chunked_moments(self._transformed_blocks(), executor)
 
-    def mean(self, executor: Executor | None = None) -> float:
+    def mean(self, executor: ExecutionBackend | None = None) -> float:
         """Mean of the transformed stream — one decode, no encode."""
         return self._moments(executor).finish("mean", self.base.eps)
 
-    def variance(self, ddof: int = 0, executor: Executor | None = None) -> float:
+    def variance(
+        self, ddof: int = 0, executor: ExecutionBackend | None = None
+    ) -> float:
         """Variance of the transformed stream (exact, quantized domain)."""
         return self._moments(executor).finish("variance", self.base.eps, ddof)
 
-    def std(self, ddof: int = 0, executor: Executor | None = None) -> float:
+    def std(self, ddof: int = 0, executor: ExecutionBackend | None = None) -> float:
         """Standard deviation of the transformed stream."""
         return self._moments(executor).finish("std", self.base.eps, ddof)
 
@@ -297,7 +297,7 @@ class LazyStream:
         return self._moments()
 
     def summary_statistics(
-        self, ddof: int = 0, executor: Executor | None = None
+        self, ddof: int = 0, executor: ExecutionBackend | None = None
     ) -> dict[str, float]:
         """Mean, variance and std of the transformed stream in one decode."""
         return self._moments(executor).summary(self.base.eps, ddof)

@@ -137,8 +137,7 @@ def _reduce_chain(
         chain = chain.apply(name, scalar)
     if reduction in ("minimum", "maximum"):
         return float(getattr(chain, reduction)())
-    fn = getattr(chain, reduction)
-    return float(fn(executor=executor) if executor is not None else fn())
+    return float(getattr(chain, reduction)(executor=executor))
 
 
 def _validate_pointwise(steps: tuple[Step, ...]) -> None:

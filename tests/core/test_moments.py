@@ -32,7 +32,12 @@ from repro.core import moments
 from repro.core.moments import QuantizedMoments
 from repro.core.ops._partial import stored_quantized
 from repro.core.quantize import Q_LIMIT
-from repro.parallel import compressed_stats_allreduce, get_backend, run_spmd
+from repro.parallel import (
+    SerialBackend,
+    compressed_stats_allreduce,
+    get_backend,
+    run_spmd,
+)
 from repro.runtime import (
     LazyStream,
     parallel_maximum,
@@ -329,7 +334,7 @@ def test_motivation_reproduction_is_exact_on_every_path(backends, cluster):
     [
         lambda c, ddof: ops.summary_statistics(c, ddof=ddof),
         lambda c, ddof: lazy(c).summary_statistics(ddof=ddof),
-        lambda c, ddof: parallel_summary_statistics(c, 2, ddof=ddof),
+        lambda c, ddof: parallel_summary_statistics(c, SerialBackend(2), ddof=ddof),
         lambda c, ddof: ops.variance(c, ddof=ddof),
     ],
     ids=["ops", "lazy", "parallel", "variance"],

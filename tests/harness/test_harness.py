@@ -103,6 +103,7 @@ class TestDriversTinyScale:
         assert len(f5.rows) == len(f6.rows) == 7
         for m in matrix:
             assert m.szp_total_s > 0 and m.szops_kernel_s > 0
+            assert m.szops_kernel_warm_s > 0
         # fully-compressed-space ops must be dramatically faster
         fast = {m.op_name: m.speedup for m in matrix}
         assert fast["negation"] > 5

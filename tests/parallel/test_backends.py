@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.moments import QuantizedMoments
+from repro.core.ops._partial import stored_quantized
 from repro.parallel.backends import (
     ArrayDescriptor,
     ExecutionBackend,
@@ -19,15 +23,30 @@ from repro.parallel.backends import (
 )
 from repro.parallel.kernels import reduce_moments_chunk
 from repro.parallel.partition import even_ranges
+from repro.runtime.reduce import parallel_mean
+
+# Chunk kernels live at module level so the process backend can pickle them.
 
 
-def double_range(lo: int, hi: int) -> int:
-    # Module level so the process backend can pickle it.
-    return 2 * (hi - lo)
+def _mark_chunk(arrays, chunk):
+    arrays["seen"][chunk["lo"] : chunk["hi"]] += 1
+    return chunk["hi"] - chunk["lo"]
 
 
-def square(x: int) -> int:
-    return x * x
+def _failing_kernel(arrays, chunk):
+    raise RuntimeError("kernel failure")
+
+
+def _calling_thread(arrays, chunk):
+    return threading.get_ident()
+
+
+def _worker_pid(arrays, chunk):
+    return os.getpid()
+
+
+def _ranges(n_items, n_parts):
+    return [{"lo": lo, "hi": hi} for lo, hi in even_ranges(n_items, n_parts)]
 
 
 class TestFactory:
@@ -56,10 +75,10 @@ class TestFactory:
 
 
 class TestRunKernel:
-    @pytest.mark.parametrize("name", ["serial", "threads"])
+    @pytest.mark.parametrize("name", ["serial", "threads", "processes"])
     def test_results_in_chunk_order(self, name):
         q = np.arange(100, dtype=np.int64)
-        chunks = [{"lo": lo, "hi": hi} for lo, hi in even_ranges(q.size, 4)]
+        chunks = _ranges(q.size, 4)
         with get_backend(name, 4) as be:
             run = be.run_kernel(reduce_moments_chunk, {"q": q}, chunks)
         assert run.results == [
@@ -81,18 +100,38 @@ class TestRunKernel:
             )
         assert run.outputs["out"].tolist() == [0, 0, 0, 0, 4, 4, 4, 4]
 
-    def test_map_ranges_and_items(self):
-        for name in ("serial", "threads", "processes"):
-            with get_backend(name, 2) as be:
-                assert sum(be.map_ranges(double_range, 11)) == 22
-                assert be.map_items(square, [1, 2, 3]) == [1, 4, 9]
+    @pytest.mark.parametrize("name", ["serial", "threads", "processes"])
+    def test_chunks_cover_all_items(self, name):
+        with get_backend(name, 3) as be:
+            out_specs = {"seen": ((17,), np.int64)}
+            run = be.run_kernel(_mark_chunk, {}, _ranges(17, 3), out_specs)
+        assert sum(run.results) == 17
+        assert run.outputs["seen"].tolist() == [1] * 17
 
-    def test_serial_partitions_like_parallel(self):
-        # n_workers shapes the chunking even inline — the property that
-        # makes float partial sums comparable across substrates.
-        with get_backend("serial", 4) as be:
-            calls = be.map_ranges(lambda lo, hi: (lo, hi), 103)
-        assert calls == even_ranges(103, 4)
+    def test_thread_kernel_exception_propagates(self):
+        with get_backend("threads", 2) as be:
+            with pytest.raises(RuntimeError, match="kernel failure"):
+                be.run_kernel(_failing_kernel, {}, _ranges(10, 2))
+
+    def test_single_chunk_runs_inline(self):
+        with get_backend("threads", 4) as be:
+            run = be.run_kernel(_calling_thread, {}, [{"lo": 0, "hi": 10}])
+            assert run.results == [threading.get_ident()]
+            assert be._pool is None  # never spun up a pool
+
+    def test_serial_partitions_like_parallel(self, codec, smooth_1d):
+        # n_workers shapes the chunking even inline: a serial reduction runs
+        # exactly the chunks a pooled one of the same width would.
+        seen = []
+
+        class Recording(SerialBackend):
+            def run_kernel(self, kernel, arrays, chunks, out_specs=None):
+                seen.append([(c["lo"], c["hi"]) for c in chunks])
+                return super().run_kernel(kernel, arrays, chunks, out_specs)
+
+        c = codec.compress(smooth_1d, 1e-3)
+        parallel_mean(c, Recording(4))
+        assert seen == [even_ranges(stored_quantized(c).q.size, 4)]
 
 
 class TestShmArena:
@@ -137,20 +176,13 @@ class TestShmArena:
 class TestLifecycle:
     def test_thread_close_idempotent(self):
         be = ThreadBackend(2)
-        be.map_ranges(lambda lo, hi: hi, 10)
+        be.run_kernel(_calling_thread, {}, _ranges(10, 2))
         be.close()
         be.close()
 
     def test_process_pool_is_warm(self):
-        import os
-
         with get_backend("processes", 1) as be:
-            pids = be.map_items(_worker_pid, [0, 1, 2])
+            pids = be.run_kernel(_worker_pid, {}, _ranges(3, 3)).results
+            pids += be.run_kernel(_worker_pid, {}, _ranges(3, 3)).results
         assert len(set(pids)) == 1
         assert pids[0] != os.getpid()
-
-
-def _worker_pid(_: int) -> int:
-    import os
-
-    return os.getpid()

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
 
 from repro import ops
-from repro.parallel.executor import ChunkedExecutor
+from repro.parallel.backends import available_backends, get_backend
 from repro.runtime import (
     lazy,
     parallel_maximum,
@@ -16,6 +18,21 @@ from repro.runtime import (
     parallel_summary_statistics,
     parallel_variance,
 )
+
+WORKER_COUNTS = (1, 2, 5)
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """Every backend at every worker count, shared by the module."""
+    with ExitStack() as stack:
+        yield {
+            n: [
+                stack.enter_context(get_backend(name, n))
+                for name in available_backends()
+            ]
+            for n in WORKER_COUNTS
+        }
 
 
 @pytest.fixture
@@ -28,61 +45,67 @@ def plateau_stream(codec, plateau_field):
     return codec.compress(plateau_field, 1e-3)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 5])
+@pytest.mark.parametrize("n_workers", WORKER_COUNTS)
 class TestAgainstSerial:
-    def test_mean_exact(self, stream, threads):
-        assert parallel_mean(stream, threads) == ops.mean(stream)
+    def test_mean_exact(self, stream, pools, n_workers):
+        for be in pools[n_workers]:
+            assert parallel_mean(stream, be) == ops.mean(stream), be.name
 
-    def test_min_max_exact(self, plateau_stream, threads):
-        assert parallel_minimum(plateau_stream, threads) == ops.minimum(plateau_stream)
-        assert parallel_maximum(plateau_stream, threads) == ops.maximum(plateau_stream)
+    def test_min_max_exact(self, plateau_stream, pools, n_workers):
+        for be in pools[n_workers]:
+            assert parallel_minimum(plateau_stream, be) == ops.minimum(plateau_stream)
+            assert parallel_maximum(plateau_stream, be) == ops.maximum(plateau_stream)
 
-    def test_variance_std_to_rounding(self, stream, threads):
-        assert parallel_variance(stream, threads) == ops.variance(stream)
-        assert parallel_std(stream, threads) == ops.std(stream)
+    def test_variance_std_to_rounding(self, stream, pools, n_workers):
+        for be in pools[n_workers]:
+            assert parallel_variance(stream, be) == ops.variance(stream), be.name
+            assert parallel_std(stream, be) == ops.std(stream), be.name
 
-    def test_summary_statistics(self, plateau_stream, threads):
+    def test_summary_statistics(self, plateau_stream, pools, n_workers):
         serial = ops.summary_statistics(plateau_stream)
-        par = parallel_summary_statistics(plateau_stream, threads)
-        assert par["mean"] == serial["mean"]
-        assert par["variance"] == serial["variance"]
-        assert par["std"] == serial["std"]
+        for be in pools[n_workers]:
+            assert parallel_summary_statistics(plateau_stream, be) == serial, be.name
 
 
 class TestExecutorHandling:
     def test_accepts_shared_executor(self, stream):
-        with ChunkedExecutor(n_threads=3) as ex:
-            assert parallel_mean(stream, ex) == ops.mean(stream)
-            assert parallel_variance(stream, ex) == ops.variance(stream)
+        with get_backend("threads", 3) as be:
+            assert parallel_mean(stream, be) == ops.mean(stream)
+            assert parallel_variance(stream, be) == ops.variance(stream)
+
+    def test_none_sums_inline(self, stream):
+        assert parallel_mean(stream, None) == ops.mean(stream)
+        assert parallel_variance(stream, None) == ops.variance(stream)
 
     def test_rejects_non_executor(self, stream):
-        with pytest.raises(TypeError, match="executor"):
-            parallel_mean(stream, "4")
+        for bad in ("4", 4):
+            with pytest.raises(TypeError, match="executor"):
+                parallel_mean(stream, bad)
 
-    def test_ddof_guard(self, stream):
+    def test_ddof_guard(self, stream, pools):
         with pytest.raises(ValueError, match="ddof"):
-            parallel_variance(stream, 2, ddof=stream.n_elements)
+            parallel_variance(stream, pools[2][0], ddof=stream.n_elements)
 
-    def test_lazy_reductions_route_through_executor(self, stream):
+    def test_lazy_reductions_route_through_executor(self, stream, pools):
         chain = lazy(stream).negate().scalar_multiply(0.1)
         serial_mean = chain.mean()
         serial_var = chain.variance()
-        with ChunkedExecutor(n_threads=4) as ex:
-            assert chain.mean(executor=ex) == serial_mean
-            assert chain.variance(executor=ex) == serial_var
-        assert chain.mean(executor=2) == serial_mean
+        for be in pools[2]:
+            assert chain.mean(executor=be) == serial_mean, be.name
+            assert chain.variance(executor=be) == serial_var, be.name
 
-    def test_apply_chain_executor_kwarg(self, stream):
+    def test_apply_chain_executor_kwarg(self, stream, pools):
         steps = ["negation", "scalar_multiply=0.1", "mean"]
-        assert ops.apply_chain(stream, steps, executor=2) == ops.apply_chain(
-            stream, steps
-        )
+        want = ops.apply_chain(stream, steps)
+        for be in pools[2]:
+            assert ops.apply_chain(stream, steps, executor=be) == want, be.name
 
 
 class TestConstantOnlyStream:
-    def test_all_constant_field(self, codec):
+    def test_all_constant_field(self, codec, pools):
         c = codec.compress(np.full(1024, 3.25, dtype=np.float32), 1e-3)
-        assert parallel_mean(c, 2) == ops.mean(c)
-        assert parallel_variance(c, 2) == ops.variance(c)
-        assert parallel_minimum(c, 2) == ops.minimum(c)
-        assert parallel_maximum(c, 2) == ops.maximum(c)
+        for be in pools[2]:
+            assert parallel_mean(c, be) == ops.mean(c)
+            assert parallel_variance(c, be) == ops.variance(c)
+            assert parallel_minimum(c, be) == ops.minimum(c)
+            assert parallel_maximum(c, be) == ops.maximum(c)
