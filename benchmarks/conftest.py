@@ -55,12 +55,12 @@ def ops_matrix(bench_cfg, experiment_runs_root):
     read their cells back out of the SQLite index — the same store
     ``repro experiment run`` feeds — rather than re-measuring per module.
     """
+    from repro.harness import ops_matrix_from_cells
     from repro.harness.experiments import (
         get_cells,
         get_table,
         latest_run_id,
         open_index,
-        ops_matrix_from_cells,
         run_experiment,
     )
 

@@ -7,15 +7,15 @@ compression must (a) produce bit-identical streams on every backend and
 the GIL inside NumPy packing; the process backend sidesteps the GIL
 entirely via shared-memory chunk transport).
 
-``test_parallel_backends_report`` regenerates the full backend × workers
-sweep (compress with the QZ/LZ/BF stage split, decompress, backend-routed
-mean/variance) and persists it as ``BENCH_parallel.json``.
+``test_parallel_backends_report`` runs the full backend × workers sweep
+(compress with the QZ/LZ/BF stage split, decompress, backend-routed
+mean/variance) through the experiment engine; its record is the run's
+``report.json`` under the session's runs directory.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ import pytest
 from repro import SZOps
 from repro.datasets import generate_fields
 from repro.parallel.backends import available_backends
-
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +57,7 @@ def test_decompress_backend_scaling(benchmark, big_field, bench_cfg, backend, n_
 
 
 def test_parallel_backends_report(bench_cfg, experiment_runs_root):
-    from repro.harness import load_bench_json, save_bench_json
     from repro.harness.experiments import (
-        bench_parallel_payload,
         get_table,
         render_report_markdown,
         run_experiment,
@@ -74,25 +71,19 @@ def test_parallel_backends_report(bench_cfg, experiment_runs_root):
         index_path=experiment_runs_root / "experiments.db",
     )
     print(render_report_markdown(result.report))
-    bench = bench_parallel_payload(result.manifest, result.cells)
-    out = save_bench_json(
-        bench, Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
-    )
-    # Round-trip through the tolerant loader: the snapshot must come back
-    # stamped with the current schema version and a concrete git SHA.
-    reloaded = load_bench_json(out)
-    assert reloaded["schema_version"] >= 2
-    assert reloaded["git_sha"]
+    assert result.report["run"]["git_sha"]
 
-    assert bench["all_identical"], "backends diverged — bit-identity broken"
-    cells = {(c["backend"], c["workers"]): c for c in bench["cells"]}
-    # Stage split must account for (most of) the compress wall time.
-    for cell in cells.values():
-        stages = sum(cell["compress_stage_seconds"].values())
-        assert stages <= cell["compress_seconds"] * 1.05
+    assert result.all_ok, "backends diverged — bit-identity broken"
+    metrics = [cell["metrics"] for cell in result.cells]
+    for m in metrics:
+        assert m["stream_identical"] and m["reductions_identical"], m
+        # Stage split must account for (most of) the compress wall time.
+        stages = sum(m["compress_stage_seconds"].values())
+        assert stages <= m["compress_seconds"] * 1.05
+    cells = {(m["backend"], m["workers"]): m for m in metrics}
     # The ≥1.5x processes-vs-serial compression target only holds where
     # physical cores exist; single-core hosts measure pure overhead, and
-    # the JSON records "cpus" so readers can judge the numbers.
+    # the report records the host's CPU count so readers can judge.
     if (os.cpu_count() or 1) >= 4:
         speedup = (
             cells[("serial", 4)]["compress_seconds"]

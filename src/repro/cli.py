@@ -12,7 +12,7 @@ the decompressed array::
     python -m repro chain U.szops negation scalar_multiply=0.1 mean
     python -m repro decompress K.szops K.f32
     python -m repro serve --port 7201
-    python -m repro bench-serve -o BENCH_service.json
+    python -m repro bench-serve -o service-report.json
     python -m repro experiment run perf-smoke --index runs/experiments.db
     python -m repro experiment report --index runs/experiments.db
     python -m repro experiment compare --index runs/experiments.db
@@ -60,6 +60,13 @@ def _add_backend_arg(p: argparse.ArgumentParser) -> None:
             "worker pool with shared-memory transport); all backends produce "
             "bit-identical results"
         ),
+    )
+
+
+def _add_report_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "-o", "--output", type=Path, default=None,
+        help="write the run's report.json here",
     )
 
 
@@ -132,27 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "bench",
-        help="benchmark the execution backends (serial/threads/processes)",
-        description=(
-            "Run the parallel-backend benchmark on a synthetic dataset: "
-            "compress (QZ/LZ/BF split), decompress, and mean/variance "
-            "reductions for every backend at each worker count, asserting "
-            "bit-identical streams and reductions. Optionally persist the "
-            "JSON payload (the BENCH_parallel.json artifact)."
-        ),
-    )
-    p.add_argument(
-        "--workers",
-        default="1,2,4,8",
-        help="comma-separated worker counts (default 1,2,4,8)",
-    )
-    p.add_argument("--dataset", default="Miranda")
-    p.add_argument("--scale", type=float, default=None, help="synthetic scale override")
-    p.add_argument("--repeats", type=int, default=None, help="repeat count override")
-    p.add_argument("-o", "--output", type=Path, default=None, help="write bench JSON here")
-
-    p = sub.add_parser(
         "bench-bitpack",
         help="microbenchmark the bitpack kernel variants (kernel x width)",
         description=(
@@ -175,9 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="lanes per cell (default 1048576)",
     )
     p.add_argument("--repeats", type=int, default=None, help="repeat count override")
-    p.add_argument(
-        "-o", "--output", type=Path, default=None, help="write the cell JSON here"
-    )
+    _add_report_arg(p)
 
     p = sub.add_parser(
         "serve",
@@ -288,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
             "loop of concurrent routers issuing PUTs and distributed "
             "reductions. Every reduction reply is checked against the "
             "single-node LazyStream value (mean/min/max/variance "
-            "bit-identical). Writes BENCH_cluster.json."
+            "bit-identical). -o writes the run's report.json."
         ),
     )
     pc.add_argument("--nodes", type=int, default=3)
@@ -299,13 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--chunks", type=int, default=6, help="chunks per sharded array")
     pc.add_argument("--n-elements", type=int, default=30_000)
     pc.add_argument("--eps", type=float, default=1e-3)
-    pc.add_argument(
-        "-o",
-        "--output",
-        type=Path,
-        default=Path("BENCH_cluster.json"),
-        help="bench JSON path (default BENCH_cluster.json)",
-    )
+    _add_report_arg(pc)
 
     p = sub.add_parser(
         "bench-serve",
@@ -316,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
             "same depth-3 pointwise chain. Reports throughput and p50/p99 "
             "latency per variant, verifies every reply bit-identical to the "
             "eager apply_chain result, and times compressed-domain REDUCE "
-            "against fetch-and-decompress. Writes BENCH_service.json."
+            "against fetch-and-decompress. -o writes the run's report.json."
         ),
     )
     p.add_argument("--dataset", default="Miranda")
@@ -328,13 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1, help="server workers for reductions"
     )
     _add_backend_arg(p)
-    p.add_argument(
-        "-o",
-        "--output",
-        type=Path,
-        default=Path("BENCH_service.json"),
-        help="bench JSON path (default BENCH_service.json)",
-    )
+    _add_report_arg(p)
 
     p = sub.add_parser(
         "experiment",
@@ -374,10 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated worker counts (parallel-backends table only)",
     )
     pe.add_argument("--dataset", default=None, help="dataset override where supported")
-    pe.add_argument(
-        "--bench-json", type=Path, default=None,
-        help="also emit the legacy BENCH_*.json payload for this table",
-    )
     pe.add_argument("-q", "--quiet", action="store_true", help="no per-cell progress")
 
     pe = esub.add_parser("report", help="render report.json/report.md from the index")
@@ -637,53 +605,33 @@ def _bench_cfg(args):
     return cfg
 
 
-def _save_bench(payload: dict, output: Path | None) -> None:
-    if output is not None:
-        from repro.harness import save_bench_json
-
-        save_bench_json(payload, output)
-        print(f"[bench JSON -> {output}]")
-
-
 def _run_bench(table, args, summarize) -> int:
-    """Run ``table`` in a temporary runs dir and write its ``BENCH_*.json``.
+    """Run ``table`` in a temporary runs dir; ``-o`` gets its ``report.json``.
 
-    ``summarize(result, payload)`` prints the command's summary; the JSON
-    goes to ``args.output`` and the exit code is 0 only when every cell
-    is ok.
+    ``summarize(result)`` prints the command's summary; the exit code is
+    0 only when every cell is ok.
     """
     import dataclasses
     import tempfile
 
-    from repro.harness.experiments import bench_payload, run_experiment
+    from repro.harness.experiments import render_report_json, run_experiment
 
     if getattr(args, "repeats", None) is not None:
         table = dataclasses.replace(table, repeats=args.repeats)
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         result = run_experiment(table, _bench_cfg(args), tmp)
-    payload = bench_payload(result.manifest, result.cells)
-    summarize(result, payload)
-    _save_bench(payload, args.output)
+    summarize(result)
+    if args.output is not None:
+        args.output.parent.mkdir(parents=True, exist_ok=True)
+        args.output.write_text(render_report_json(result.report), encoding="utf-8")
+        print(f"[report -> {args.output}]")
     return 0 if result.all_ok else 1
 
 
-def _print_report(result, _payload) -> None:
+def _print_report(result) -> None:
     from repro.harness.experiments import render_report_markdown
 
     print(render_report_markdown(result.report))
-
-
-def _cmd_bench(args) -> int:
-    """The BENCH_parallel.json producer, executed through the engine."""
-    from repro.harness.experiments import get_table
-
-    try:
-        workers = _parse_workers(args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    table = get_table("parallel-backends", workers=workers, dataset=args.dataset)
-    return _run_bench(table, args, _print_report)
 
 
 def _cmd_bench_bitpack(args) -> int:
@@ -875,7 +823,7 @@ def _cluster_status(args) -> int:
 
 
 def _cluster_bench(args) -> int:
-    """The BENCH_cluster.json producer, executed through the engine."""
+    """The ``cluster-scale`` table behind ``cluster bench``."""
     import dataclasses
 
     from repro.harness.experiments import get_table
@@ -894,20 +842,21 @@ def _cluster_bench(args) -> int:
         table, options={**table.options, "n_arrays": args.arrays}
     )
 
-    def summarize(_result, payload) -> None:
+    def summarize(result) -> None:
+        m = result.cells[0]["metrics"]
         print(
-            f"cluster: {payload['throughput_rps']:8.1f} req/s  "
-            f"p50 {payload['latency_p50_ms']:7.2f} ms  "
-            f"p99 {payload['latency_p99_ms']:7.2f} ms  "
-            f"({payload['completed_requests']}/{payload['total_requests']} ok, "
-            f"{payload['identity_failures']} identity failures)"
+            f"cluster: {m['throughput_rps']:8.1f} req/s  "
+            f"p50 {m['latency_p50_ms']:7.2f} ms  "
+            f"p99 {m['latency_p99_ms']:7.2f} ms  "
+            f"({m['completed_requests']}/{m['total_requests']} ok, "
+            f"{m['identity_failures']} identity failures)"
         )
 
     return _run_bench(table, args, summarize)
 
 
 def _cmd_bench_serve(args) -> int:
-    """The BENCH_service.json producer, executed through the engine."""
+    """The ``service-batching`` table behind ``bench-serve``."""
     from repro.harness.experiments import get_table
 
     table = get_table(
@@ -920,9 +869,10 @@ def _cmd_bench_serve(args) -> int:
         n_workers=args.threads,
     )
 
-    def summarize(_result, payload) -> None:
+    def summarize(result) -> None:
+        m = result.cells[0]["metrics"]
         for label in ("batched", "unbatched"):
-            v = payload[label]
+            v = m[label]
             print(
                 f"{label:>9}: {v['throughput_rps']:8.1f} req/s  "
                 f"p50 {v['latency_p50_ms']:7.2f} ms  p99 {v['latency_p99_ms']:7.2f} ms  "
@@ -930,9 +880,9 @@ def _cmd_bench_serve(args) -> int:
             )
         print(
             f"speedup (batched/unbatched): "
-            f"{payload['speedup_batched_vs_unbatched']:.2f}x"
+            f"{m['speedup_batched_vs_unbatched']:.2f}x"
         )
-        red = payload["reduce_vs_decompress"]
+        red = m["reduce_vs_decompress"]
         print(
             f"REDUCE mean: {1e3 * red['compressed_domain_seconds']:.2f} ms "
             f"compressed-domain vs {1e3 * red['fetch_decompress_seconds']:.2f} ms "
@@ -977,7 +927,7 @@ def _experiment_tables(args) -> int:
 def _experiment_run(args) -> int:
     import dataclasses
 
-    from repro.harness.experiments import bench_payload, get_table, run_experiment
+    from repro.harness.experiments import get_table, run_experiment
 
     kwargs = {}
     if args.workers is not None:
@@ -1009,9 +959,6 @@ def _experiment_run(args) -> int:
         f"{result.resumed} resumed, all_ok={result.all_ok}"
     )
     print(f"[artifacts -> {result.run_dir}]")
-
-    if args.bench_json is not None:
-        _save_bench(bench_payload(result.manifest, result.cells), args.bench_json)
     return 0 if result.all_ok else 1
 
 
@@ -1170,7 +1117,6 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "op": _cmd_op,
     "chain": _cmd_chain,
-    "bench": _cmd_bench,
     "bench-bitpack": _cmd_bench_bitpack,
     "serve": _cmd_serve,
     "cluster": _cmd_cluster,

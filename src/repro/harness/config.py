@@ -2,7 +2,7 @@
 
 The paper's full workloads (1.25-4.9 GB per dataset) are impractical for a
 pure-Python reproduction, so the harness runs the same experiments on the
-catalog's scaled-down default grids.  Two knobs rescale the work:
+catalog's scaled-down default grids.  Three knobs rescale the work:
 
 ``REPRO_BENCH_SCALE``
     Linear per-axis scale factor on the working shapes (default 1.0, i.e.

@@ -8,8 +8,6 @@ docs/EXPERIMENTS.md):
 * :mod:`~repro.harness.experiments.executor` — cell execution through
   the real ``SZOps`` / ``runtime`` / ``parallel`` / ``service`` /
   ``cluster`` layers: the one implementation of every timed workload;
-* :mod:`~repro.harness.experiments.compat` — the ``BENCH_*.json``
-  payloads rebuilt from a run's cells;
 * :mod:`~repro.harness.experiments.artifacts` — per-run artifact
   directories (manifest, environment capture, raw cell JSON);
 * :mod:`~repro.harness.experiments.index` — the cross-run SQLite index;
@@ -32,12 +30,6 @@ from repro.harness.experiments.compare import (
     MIN_CPUS_FOR_TIMING_GATE,
     compare_cells,
     compare_runs,
-)
-from repro.harness.experiments.compat import (
-    bench_cell_payload,
-    bench_parallel_payload,
-    bench_payload,
-    ops_matrix_from_cells,
 )
 from repro.harness.experiments.executor import (
     WORKLOADS,
@@ -88,9 +80,6 @@ __all__ = [
     "RunTable",
     "WORKLOADS",
     "append_run",
-    "bench_cell_payload",
-    "bench_parallel_payload",
-    "bench_payload",
     "build_report",
     "canonical_json",
     "chain_for_depth",
@@ -106,7 +95,6 @@ __all__ = [
     "latest_run_id",
     "list_runs",
     "open_index",
-    "ops_matrix_from_cells",
     "render_report_json",
     "render_report_markdown",
     "report_from_index",

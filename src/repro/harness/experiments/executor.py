@@ -31,18 +31,18 @@ re-implements a kernel):
     compressed-domain kernel time.
 
 ``fusion``
-    The ``BENCH_runtime.json`` producer: the fused negate -> xS -> mean
+    The ``runtime-fusion`` table: the fused negate -> xS -> mean
     chain against the eager three-op replay (cache off, cache on), with
     identical results asserted.
 
 ``service``
-    The ``BENCH_service.json`` producer (``repro bench-serve``): a real
+    The ``service-batching`` table (``repro bench-serve``): a real
     server with micro-batching on, then off, under the same closed-loop
     OP load, every reply checked against the eager chain; plus
     compressed-domain REDUCE timed against GET + decompress + ``np.mean``.
 
 ``cluster``
-    The ``BENCH_cluster.json`` producer (``repro cluster bench``): a
+    The ``cluster-scale`` table (``repro cluster bench``): a
     local cluster under mixed PUT / distributed-REDUCE load, every
     reduction reply checked bit for bit against the single-node value.
 
@@ -475,7 +475,9 @@ def _run_ops_matrix_cell(
     shares the same streams, so with the decoded-block cache on a later op
     would read the view (and memoised moments) an earlier one decoded.
     ``szops_kernel_warm_seconds`` reports that cache hit beside it: the
-    same call right after one untimed call on the same stream.
+    same call right after one untimed call on the same stream.  Negation
+    and scalar add/subtract never read the cache, so for them the warm
+    call is only the third back-to-back call on the same planes.
     """
     from repro.core.ops.dispatch import OPERATIONS
     from repro.harness.runner import DEFAULT_SCALAR
@@ -593,7 +595,7 @@ def _run_bitpack_cell(
 
 
 # --------------------------------------------------------------------------
-# Workload: fusion (BENCH_runtime.json)
+# Workload: fusion (the runtime-fusion table)
 # --------------------------------------------------------------------------
 
 
@@ -671,7 +673,7 @@ def _run_fusion_cell(
 
 
 # --------------------------------------------------------------------------
-# Workload: service (BENCH_service.json)
+# Workload: service (the service-batching table, repro bench-serve)
 # --------------------------------------------------------------------------
 
 
@@ -785,7 +787,7 @@ def _run_service_cell(
 
 
 # --------------------------------------------------------------------------
-# Workload: cluster (BENCH_cluster.json)
+# Workload: cluster (the cluster-scale table, repro cluster bench)
 # --------------------------------------------------------------------------
 
 #: Reductions the cluster load cycles through; every reply must be

@@ -7,10 +7,14 @@ pure function of the JSON document.  The golden-file test suite pins
 this — a rendering change must bump :data:`REPORT_SCHEMA_VERSION` and
 regenerate the goldens, never drift silently.
 
-Timing statistics are repetition-based: every ``*_seconds_reps`` sample
-list in a cell's metrics becomes ``{mean, best, ci95, n}``, where
-``ci95`` is the half-width of the 95% confidence interval on the mean
-(Student's t for small n).
+Each cell entry carries the cell's full metrics document (what the
+executor recorded, floats rounded like the rest of the report), so the
+report is the one machine-readable record of a run: CI checks and the
+benchmark suite read ``cells[i]["metrics"]`` and ``summary``.  On top of
+that, timing statistics are repetition-based: every ``*_seconds_reps``
+sample list becomes ``{mean, best, ci95, n}``, where ``ci95`` is the
+half-width of the 95% confidence interval on the mean (Student's t for
+small n).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ __all__ = [
     "report_from_index",
 ]
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 #: Two-sided 95% Student-t critical values for 1..30 degrees of freedom
 #: (normal 1.96 beyond).  A static table keeps the report a deterministic
@@ -89,6 +93,7 @@ def _cell_entry(cell: Mapping[str, Any]) -> dict[str, Any]:
         "factors": dict(cell["factors"]),
         "ok": bool(cell["ok"]),
         "timing": timing,
+        "metrics": metrics,
     }
     stages = metrics.get("compress_stage_seconds")
     if isinstance(stages, dict):
@@ -98,29 +103,6 @@ def _cell_entry(cell: Mapping[str, Any]) -> dict[str, Any]:
             "fraction": {
                 k: (v / total if total > 0 else 0.0) for k, v in stages.items()
             },
-        }
-    for scalar_key in (
-        "compress_throughput_mbs",
-        "pack_mlanes_per_s",
-        "unpack_mlanes_per_s",
-        "speedup",
-        "speedup_fused_vs_eager",
-        "speedup_batched_vs_unbatched",
-        "mean",
-        "variance",
-        "szops_kernel_seconds",
-        "szops_kernel_warm_seconds",
-        "szp_total_seconds",
-    ):
-        if scalar_key in metrics:
-            entry[scalar_key] = metrics[scalar_key]
-    service = metrics.get("service")
-    if isinstance(service, dict):
-        entry["service"] = {
-            "throughput_rps": service.get("throughput_rps", 0.0),
-            "completed_requests": service.get("completed_requests", 0),
-            "total_requests": service.get("total_requests", 0),
-            "replies_identical": service.get("replies_identical", False),
         }
     return entry
 

@@ -1,7 +1,7 @@
 """Run orchestration: expand -> execute (with resume) -> persist -> index.
 
-:func:`run_experiment` is the one entry point the CLI, the benchmark
-suite, and the migrated BENCH producers all share.  The flow:
+:func:`run_experiment` is the one entry point ``experiment run``, the
+``bench-*`` commands and the benchmark suite share.  The flow:
 
 1. expand the table to its deterministic cell list;
 2. create the artifact directory (or adopt an existing one when

@@ -156,7 +156,7 @@ class RunTable:
 
 
 # --------------------------------------------------------------------------
-# Predefined tables: the migrated BENCH_* producers plus the CI smoke table
+# Predefined tables: the benchmark sweeps, the figure substrate, the CI smoke
 # --------------------------------------------------------------------------
 
 
@@ -179,10 +179,9 @@ def _parallel_backends_table(
         },
         repeats=3,
         description=(
-            "BENCH_parallel.json through the engine: compress (QZ/LZ/BF "
-            "split), decompress, and backend-routed mean/variance for every "
-            "backend x worker count x bitpack kernel, bit-identity asserted "
-            "per cell."
+            "Parallel backends: compress (QZ/LZ/BF split), decompress, "
+            "and backend-routed mean/variance for every backend x worker "
+            "count x bitpack kernel, bit-identity asserted per cell."
         ),
     )
 
@@ -194,9 +193,8 @@ def _runtime_fusion_table(dataset: str = "Miranda") -> RunTable:
         factors={"dataset": (dataset,), "eps": (1e-4,)},
         repeats=3,
         description=(
-            "BENCH_runtime.json through the engine: fused negate -> xS -> "
-            "mean chain vs the eager three-op replay, identical results "
-            "asserted."
+            "Runtime fusion: fused negate -> xS -> mean chain vs the eager "
+            "three-op replay, identical results asserted."
         ),
     )
 
@@ -219,7 +217,7 @@ def _service_batching_table(
         },
         repeats=1,
         description=(
-            "BENCH_service.json through the engine: batched vs unbatched "
+            "Service batching (repro bench-serve): batched vs unbatched "
             "serving throughput over a real ThreadedServer, replies "
             "bit-identical to the eager chain."
         ),

@@ -2,24 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.harness.runner import ExperimentResult
 from repro.harness.tables import render_table
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "load_bench_json",
-    "render_result",
-    "save_result",
-    "save_bench_json",
-]
-
-#: Version stamped into every ``BENCH_*.json`` snapshot.  Version 1 is the
-#: historical unstamped shape (no ``schema_version`` / ``git_sha`` keys);
-#: version 2 adds both.  :func:`load_bench_json` reads either.
-BENCH_SCHEMA_VERSION = 2
+__all__ = ["render_result", "save_result"]
 
 
 def render_result(result: ExperimentResult) -> str:
@@ -38,46 +26,3 @@ def save_result(result: ExperimentResult, results_dir: str | Path = "results") -
     path = out_dir / f"{result.exp_id}.md"
     path.write_text(render_result(result), encoding="utf-8")
     return path
-
-
-def save_bench_json(payload: dict, path: str | Path) -> Path:
-    """Write a machine-readable benchmark record (e.g. BENCH_runtime.json).
-
-    Every snapshot is stamped with ``schema_version`` and the producing
-    ``git_sha`` before hitting disk (historical snapshots carried
-    neither, which made trajectory comparisons guesswork); the caller's
-    payload wins if it already set either key.
-    """
-    from repro.harness.experiments.artifacts import git_sha
-
-    stamped = dict(payload)
-    stamped.setdefault("schema_version", BENCH_SCHEMA_VERSION)
-    stamped.setdefault("git_sha", git_sha())
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return out
-
-
-def load_bench_json(path: str | Path) -> dict:
-    """Read a ``BENCH_*.json`` snapshot, old shape or new.
-
-    Pre-stamping snapshots (no ``schema_version`` key) are normalized to
-    ``schema_version: 1`` and ``git_sha: "unknown"`` so consumers can
-    treat every snapshot uniformly; unknown *newer* versions are
-    rejected loudly rather than half-parsed.
-    """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} does not hold a JSON benchmark object")
-    version = doc.get("schema_version", 1)
-    if not isinstance(version, int) or version < 1:
-        raise ValueError(f"{path} has a malformed schema_version: {version!r}")
-    if version > BENCH_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path} uses bench schema version {version}; this build reads "
-            f"up to {BENCH_SCHEMA_VERSION}"
-        )
-    doc.setdefault("schema_version", 1)
-    doc.setdefault("git_sha", "unknown")
-    return doc

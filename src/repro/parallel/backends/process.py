@@ -47,6 +47,7 @@ from repro.parallel.backends.base import (
     KernelRun,
     format_chunk,
 )
+from repro.parallel.backends.local import alloc_outputs
 from repro.parallel.backends.shm import ArrayDescriptor, ShmArena, attach_arrays
 
 __all__ = ["ProcessBackend", "DEFAULT_TIMEOUT"]
@@ -221,6 +222,9 @@ class ProcessBackend(ExecutionBackend):
         chunks: Sequence[Mapping[str, Any]],
         out_specs: Mapping[str, tuple[Sequence[int], Any]] | None = None,
     ) -> KernelRun:
+        if not chunks:
+            # No work: no arena, no pool fork, no overhead probe.
+            return KernelRun(results=[], outputs=alloc_outputs(out_specs))
         arena = ShmArena(arrays, out_specs)
         try:
             pool = self._ensure_pool()

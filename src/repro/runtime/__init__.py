@@ -16,8 +16,8 @@ N decodes into one:
   constant-block closed forms kept intact.
 
 See ``docs/FORMAT.md`` ("Runtime fusion semantics") for the laziness and
-cache-key contract, and ``BENCH_runtime.json`` for the measured chain
-speedup.
+cache-key contract, and ``repro experiment run runtime-fusion`` for the
+measured chain speedup.
 """
 
 from repro.runtime.cache import (

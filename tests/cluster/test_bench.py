@@ -59,7 +59,7 @@ def test_cluster_bench_cli_writes_the_ci_keys(tmp_path, capsys):
     """The keys the CI 3-node smoke asserts, on a 2-node miniature."""
     from repro.cli import main
 
-    out = tmp_path / "BENCH_cluster.json"
+    out = tmp_path / "report.json"
     rc = main(
         [
             "cluster", "bench", "--nodes", "2", "--replicas", "2",
@@ -69,7 +69,9 @@ def test_cluster_bench_cli_writes_the_ci_keys(tmp_path, capsys):
     )
     assert rc == 0
     assert "0 identity failures" in capsys.readouterr().out
-    doc = json.loads(out.read_text())
+    report = json.loads(out.read_text())
+    assert report["summary"]["all_ok"] is True
+    doc = report["cells"][0]["metrics"]
     assert doc["ok"] is True
     assert doc["errors"] == []
     assert doc["identity_failures"] == 0

@@ -1,9 +1,10 @@
 """End-to-end acceptance: real kernels through the factorial engine.
 
 Scaled-down versions of the acceptance criteria: the predefined
-parallel-backends table reproduces ``BENCH_parallel.json``'s cell
-structure with every bit-identity flag true, and a chain/service cell of
-the tentpole pipeline workload verifies against its eager references.
+parallel-backends table covers backend x workers x kernel with every
+per-cell metric recorded and every bit-identity flag true, and a
+chain/service cell of the tentpole pipeline workload verifies against
+its eager references.
 Everything runs at a tiny synthetic scale so this stays tier-1-sized;
 the full-scale sweeps live in ``benchmarks/``.
 """
@@ -14,8 +15,8 @@ import pytest
 
 from repro.harness.config import BenchConfig
 from repro.harness.experiments import (
+    REPORT_SCHEMA_VERSION,
     RunTable,
-    bench_parallel_payload,
     get_table,
     run_experiment,
 )
@@ -67,21 +68,33 @@ def test_parallel_backends_identity_flags_all_true(parallel_run):
 
 def test_parallel_backends_reproduces_bench_payload_shape(parallel_run):
     table, result = parallel_run
-    bench = bench_parallel_payload(result.manifest, result.cells)
-    assert bench["experiment"] == "parallel_backends"
-    assert bench["all_identical"] is True
-    assert bench["workers"] == [1, 2]
-    assert bench["backends"] == list(available_backends())
-    assert bench["kernels"] == ["bitarray", "wordpack"]
-    assert len(bench["cells"]) == table.n_cells
-    for cell in bench["cells"]:
-        assert set(cell) == {
+    assert result.all_ok
+    assert len(result.cells) == table.n_cells
+    metrics = [cell["metrics"] for cell in result.cells]
+    assert {(m["backend"], m["workers"], m["kernel"]) for m in metrics} == {
+        (b, w, k)
+        for b in available_backends()
+        for w in (1, 2)
+        for k in ("bitarray", "wordpack")
+    }
+    assert list(dict.fromkeys(m["backend"] for m in metrics)) == list(
+        available_backends()
+    )
+    assert list(dict.fromkeys(m["kernel"] for m in metrics)) == [
+        "bitarray", "wordpack",
+    ]
+    for m in metrics:
+        assert {
             "backend", "workers", "kernel", "compress_seconds",
             "compress_stage_seconds", "decompress_seconds",
             "reduce_seconds", "mean", "variance",
             "stream_identical", "reductions_identical",
-        }
-        assert set(cell["compress_stage_seconds"]) == {"QZ", "LZ", "BF"}
+        } <= set(m)
+        assert set(m["compress_stage_seconds"]) == {"QZ", "LZ", "BF"}
+    # The run's report carries the same metrics, cell for cell.
+    assert [e["metrics"]["kernel"] for e in result.report["cells"]] == [
+        m["kernel"] for m in metrics
+    ]
 
 
 def test_bitpack_kernel_cells_assert_byte_identity(tmp_path):
@@ -166,10 +179,11 @@ def test_pipeline_reductions_match_across_worker_counts(tmp_path):
 
 
 def test_bench_bitpack_writes_a_stamped_snapshot(tmp_path, capsys):
-    from repro.cli import main
-    from repro.harness import BENCH_SCHEMA_VERSION, load_bench_json
+    import json
 
-    out = tmp_path / "BENCH_bitpack.json"
+    from repro.cli import main
+
+    out = tmp_path / "report.json"
     rc = main(
         [
             "bench-bitpack", "--widths", "1,11", "--size", "4096",
@@ -177,10 +191,21 @@ def test_bench_bitpack_writes_a_stamped_snapshot(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert f"[bench JSON -> {out}]" in capsys.readouterr().out
-    doc = load_bench_json(out)
-    assert doc["schema_version"] == BENCH_SCHEMA_VERSION == 2
-    assert doc["experiment"] == "bitpack_kernels"
-    assert doc["size"] == 4096
-    assert doc["all_identical"] is True
-    assert {c["width"] for c in doc["cells"]} == {1, 11}
+    assert f"[report -> {out}]" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["schema_version"] == REPORT_SCHEMA_VERSION == 2
+    assert doc["run"]["git_sha"]
+    assert doc["run"]["table"] == "bitpack-kernels"
+    assert doc["summary"]["all_ok"] is True
+    metrics = [c["metrics"] for c in doc["cells"]]
+    assert {m["size"] for m in metrics} == {4096}
+    assert {m["width"] for m in metrics} == {1, 11}
+
+
+@pytest.mark.parametrize(
+    "argv", [["bench-bitpack"], ["bench-serve"], ["cluster", "bench"]]
+)
+def test_bench_commands_write_a_report_only_when_asked(argv):
+    from repro.cli import build_parser
+
+    assert build_parser().parse_args(argv).output is None

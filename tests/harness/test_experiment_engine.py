@@ -22,6 +22,8 @@ from repro.harness.experiments import (
     latest_run_id,
     list_runs,
     open_index,
+    render_report_json,
+    report_from_index,
     run_experiment,
 )
 
@@ -193,3 +195,30 @@ def test_failed_cell_fails_the_run_but_still_persists(tmp_path):
     assert [c["ok"] for c in result.cells] == [True, False, True, True]
     assert result.report["summary"]["n_ok"] == 3
     assert result.report["summary"]["all_ok"] is False
+
+
+def test_report_carries_cell_metrics_and_matches_the_index(tmp_path):
+    def nested_execute(cell, table, cfg, ctx):
+        metrics = stub_execute(cell, table, cfg, ctx)
+        metrics["service"] = {"throughput_rps": 1 / 3, "errors": []}
+        return metrics
+
+    index_path = tmp_path / "experiments.db"
+    result = run_experiment(
+        small_table(), CFG, tmp_path / "runs", index_path=index_path,
+        execute=nested_execute,
+    )
+    on_disk = json.loads((result.run_dir / "report.json").read_text())
+    entry = on_disk["cells"][0]
+    assert entry["metrics"]["compress_throughput_mbs"] == 100.0
+    assert entry["metrics"]["backend"] == entry["factors"]["backend"]
+    # Only the report rounds; the per-cell artifact keeps the exact value.
+    assert entry["metrics"]["service"]["throughput_rps"] == 0.333333333
+    assert result.cells[0]["metrics"]["service"]["throughput_rps"] == 1 / 3
+
+    conn = open_index(index_path)
+    try:
+        indexed, _ = report_from_index(conn, result.run_id)
+    finally:
+        conn.close()
+    assert render_report_json(indexed) == render_report_json(result.report)

@@ -84,12 +84,11 @@ class TestDriversTinyScale:
             assert all(r > 1 for r in row[1:])
 
     def test_figures_5_and_6_consistent(self, cfg):
-        from repro.harness import run_figure5, run_figure6
+        from repro.harness import ops_matrix_from_cells, run_figure5, run_figure6
         from repro.harness.experiments import (
             ExecutionContext,
             execute_cell,
             get_table,
-            ops_matrix_from_cells,
         )
 
         mcfg = BenchConfig(scale=0.4, max_fields=1, datasets=("Miranda",))

@@ -119,6 +119,16 @@ class TestRunKernel:
             assert run.results == [threading.get_ident()]
             assert be._pool is None  # never spun up a pool
 
+    def test_process_empty_run_never_spins_up_a_pool(self):
+        # An all-constant stream submits no chunks: nothing to fork for.
+        with ProcessBackend(2) as be:
+            run = be.run_kernel(
+                _mark_chunk, {}, [], out_specs={"seen": ((3,), np.int64)}
+            )
+            assert run.results == []
+            assert run.outputs["seen"].tolist() == [0, 0, 0]
+            assert be._pool is None
+
     def test_serial_partitions_like_parallel(self, codec, smooth_1d):
         # n_workers shapes the chunking even inline: a serial reduction runs
         # exactly the chunks a pooled one of the same width would.

@@ -73,7 +73,7 @@ def test_bench_serve_writes_wellformed_json(tmp_path, capsys):
     """A miniature bench-serve run through the real CLI entry point."""
     from repro.cli import main
 
-    out = tmp_path / "BENCH_service.json"
+    out = tmp_path / "report.json"
     rc = main(
         [
             "bench-serve",
@@ -90,7 +90,9 @@ def test_bench_serve_writes_wellformed_json(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "speedup" in printed
-    doc = json.loads(out.read_text())
+    report = json.loads(out.read_text())
+    assert report["summary"]["all_ok"] is True
+    doc = report["cells"][0]["metrics"]
     assert doc["experiment"] == "service_batching"
     assert doc["chain_depth"] == 3
     assert doc["total_errors"] == 0
@@ -107,7 +109,7 @@ def test_bench_serve_writes_wellformed_json(tmp_path, capsys):
 
 
 def test_run_service_bench_returns_payload_directly():
-    """The ``service`` workload's cell metrics are the BENCH_service.json payload."""
+    """The ``service`` workload's cell metrics, straight from the executor."""
     from repro.harness.config import BenchConfig
     from repro.harness.experiments import ExecutionContext, execute_cell, get_table
 
