@@ -80,13 +80,15 @@ def test_parallel_backends_report(bench_cfg, experiment_runs_root):
         # Stage split must account for (most of) the compress wall time.
         stages = sum(m["compress_stage_seconds"].values())
         assert stages <= m["compress_seconds"] * 1.05
-    cells = {(m["backend"], m["workers"]): m for m in metrics}
+    cells = {(m["backend"], m["workers"], m["kernel"]): m for m in metrics}
+    assert len(cells) == len(metrics)
     # The ≥1.5x processes-vs-serial compression target only holds where
     # physical cores exist; single-core hosts measure pure overhead, and
-    # the report records the host's CPU count so readers can judge.
+    # the report records the host's CPU count so readers can judge.  It is
+    # judged on the wordpack kernel, the one ``auto`` runs without numba.
     if (os.cpu_count() or 1) >= 4:
         speedup = (
-            cells[("serial", 4)]["compress_seconds"]
-            / cells[("processes", 4)]["compress_seconds"]
+            cells[("serial", 4, "wordpack")]["compress_seconds"]
+            / cells[("processes", 4, "wordpack")]["compress_seconds"]
         )
-        assert speedup >= 1.5, f"processes@4 only {speedup:.2f}x over serial"
+        assert speedup >= 1.5, f"processes@4 (wordpack) only {speedup:.2f}x over serial"

@@ -18,8 +18,9 @@ Derivation (most to least specific; first match wins):
     leaves the compressed domain entirely (reductions, inner products),
     so the bound is a derived analytical bound, not ``eps`` itself.
 ``scaled``
-    the kernel reaches :func:`~repro.core.ops._partial.requantize`
-    (directly or through module-local calls): bins are rescaled by the
+    the kernel reaches ``requantize`` or builds the
+    :class:`~repro.core.ops._partial.Requantize` step (directly or
+    through module-local calls): bins are rescaled by the
     scalar factor and re-snapped, so the bound scales by ``|s|`` (plus
     half a new bin of re-quantization error).
 ``bounded-additive``
@@ -53,7 +54,7 @@ __all__ = ["check_error_propagation", "derive_mode"]
 
 #: Reaching one of these (by call-graph closure over module-local calls)
 #: proves the kernel rescales bins: the error bound is *scaled*.
-_SCALED_MARKERS = frozenset({"requantize"})
+_SCALED_MARKERS = frozenset({"requantize", "Requantize"})
 
 #: Reaching one of these proves an exact integer-domain shift: the error
 #: bound is *preserved* (bin width untouched).

@@ -200,7 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=float,
         default=0.002,
-        help="micro-batching window in seconds (0 keeps dedup, no delay)",
+        help=(
+            "micro-batching window in seconds, opened only while another "
+            "request is queued or executing (0 keeps dedup, no delay)"
+        ),
     )
     p.add_argument(
         "--no-batching", action="store_true", help="disable micro-batching entirely"

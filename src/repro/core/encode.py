@@ -27,8 +27,9 @@ geometries.
 The *encode front* that feeds it — QZ, LZ, signs, magnitudes and block
 widths — runs once over cache-sized, block-aligned tiles
 (:func:`encode_front`), shared by every encoder: ``SZOps.compress`` and
-``encode_quantized``, the scalar-multiply / lazy re-encode, the
-multivariate combine and the SZp baseline.
+``encode_quantized``, the scalar-multiply / lazy re-encode (whose pending
+pointwise steps run per tile, in the front's loop), the multivariate
+combine and the SZp baseline.
 
 ``align_bits`` rounds every block's payload up to a multiple of that many
 bits.  SZOps always uses 1 (tight packing); SZp passes its 32-bit word
@@ -670,13 +671,23 @@ def encode_front(layout: BlockLayout, tile_deltas: TileDeltas) -> EncodeFront:
     return EncodeFront(signs, mags, bit_width(maxima), outliers)
 
 
-def encode_bins(q: np.ndarray, block_size: int) -> EncodeFront:
-    """The encode front over given bins ``q`` (a re-encode: no QZ)."""
+def encode_bins(
+    q: np.ndarray,
+    block_size: int,
+    tile_map: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> EncodeFront:
+    """The encode front over given bins ``q`` (a re-encode: no QZ).
+
+    ``tile_map``, when given, maps each block-aligned tile of ``q`` to the
+    bins encoded in its place (same length; it may return a buffer it
+    reuses), so a pointwise transform runs while the tile is in cache.
+    """
     q = np.ascontiguousarray(q, dtype=np.int64).reshape(-1)
 
     def tile_deltas(
         elems: slice, tile_layout: BlockLayout, out: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        return lorenzo_forward(q[elems], tile_layout, out=out)
+        bins = q[elems] if tile_map is None else tile_map(q[elems])
+        return lorenzo_forward(bins, tile_layout, out=out)
 
     return encode_front(BlockLayout(q.size, block_size), tile_deltas)

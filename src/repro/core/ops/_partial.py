@@ -6,6 +6,11 @@ operator, but never apply inverse quantization (Table II's note — this is
 what preserves error-boundedness).  Constant blocks are never decoded at
 all; their quantized values are known from the outlier plane alone, which
 is the "excluding constant block computations" optimization of Table V.
+
+The two pointwise steps a re-encode applies — ``IntAffine`` (negation,
+quantized scalar add/subtract) and ``Requantize`` (scalar multiplication)
+— live here too: eager multiplication and lazy chains run the same step
+kernels, tile by tile inside the encode front (:func:`rebuild_stored`).
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ __all__ = [
     "decode_stored_blocks",
     "ensure_quantized_range",
     "range_overflow",
-    "requantize",
+    "IntAffine",
+    "Requantize",
+    "Step",
+    "apply_steps",
     "rebuild_stored",
 ]
 
@@ -145,65 +153,173 @@ def ensure_quantized_range(q: np.ndarray, context: str, shift: int = 0) -> np.nd
     return q + shift if shift else q
 
 
-def requantize(q: np.ndarray, factor: float) -> np.ndarray:
-    """``round(q * factor)`` with an overflow guard on the int64 result.
+#: The error context of a fused (folded) negate/add/sub step.
+_FUSED_SHIFT = "fused scalar shift"
 
-    The guard must *raise*, never wrap: a silent int64 wraparound would
-    produce a decodable stream representing garbage.  Three failure shapes
-    are caught — a finite product at or beyond ``Q_LIMIT`` (2^62), a product
-    that overflowed float64 to infinity, and a NaN from ``0 * inf`` — all
-    reported as the documented :class:`OperationError`.
+
+@dataclass(frozen=True)
+class IntAffine:
+    """Exact integer step ``q -> sigma * q + shift`` (sigma in {+1, -1})."""
+
+    sigma: int
+    shift: int
+
+    def apply(
+        self, q: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``sigma*q + shift`` into ``out`` (a new array when ``None``).
+
+        The shift_outliers guard: a fused chain can accumulate a shift the
+        eager path would have rejected step by step.  ``|sigma*q|`` is
+        ``|q|``, so the guard reads ``q`` itself; an empty plane is
+        returned as is, unguarded.
+        """
+        if not q.size:
+            return q
+        peak = max(int(q.max()), -int(q.min())) + abs(int(self.shift))
+        if peak >= int(Q_LIMIT):
+            raise range_overflow(_FUSED_SHIFT)
+        if self.sigma < 0:
+            return np.subtract(self.shift, q, out=out)
+        return np.add(q, self.shift, out=out)
+
+    def apply_moments(self, m: QuantizedMoments) -> QuantizedMoments:
+        """Exact moments of ``sigma*q + shift`` from those of ``q``.
+
+        Raises exactly when :meth:`apply` would on the planes ``m`` sums.
+        """
+        shift = int(self.shift)
+        s1, lo, hi = (-m.s1, -m.hi, -m.lo) if self.sigma < 0 else (m.s1, m.lo, m.hi)
+        if shift and m.n and max(hi, -lo) + abs(shift) >= int(Q_LIMIT):
+            raise range_overflow(_FUSED_SHIFT)
+        n = m.n
+        s2 = m.s2 + 2 * shift * s1 + n * shift * shift
+        return QuantizedMoments(s1 + n * shift, s2, lo + shift, hi + shift, n)
+
+    @property
+    def is_identity(self) -> bool:
+        return self.sigma == 1 and self.shift == 0
+
+
+@dataclass(frozen=True)
+class Requantize:
+    """Rounding step ``q -> round(q * s_rep)`` (scalar multiplication)."""
+
+    s_rep: float
+
+    def apply(
+        self, q: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``round(q * s_rep)`` with an overflow guard on the int64 result.
+
+        The float64 product goes to ``scratch`` and the bins to ``out``
+        (new arrays when ``None``).  The guard must *raise*, never wrap: a
+        silent int64 wraparound would produce a decodable stream
+        representing garbage.  Three failure shapes are caught — a finite
+        product at or beyond ``Q_LIMIT`` (2^62), a product that overflowed
+        float64 to infinity, and a NaN from ``0 * inf`` — all reported as
+        the documented :class:`OperationError`.
+        """
+        # The guard below reports overflow and NaN products.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.multiply(q, self.s_rep, out=scratch, dtype=np.float64)
+        np.rint(scaled, out=scaled)
+        limit = float(Q_LIMIT)
+        # max/min propagate NaN and NaN fails both comparisons, so this one
+        # guard rejects NaN, +-inf and every finite |x| >= Q_LIMIT.
+        if scaled.size and not (scaled.max() < limit and scaled.min() > -limit):
+            raise range_overflow("scalar multiplication")
+        if out is None:
+            return scaled.astype(np.int64)
+        np.copyto(out, scaled, casting="unsafe")
+        return out
+
+
+Step = IntAffine | Requantize
+
+
+def apply_steps(
+    steps: tuple[Step, ...], q: np.ndarray, const: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-plane step order: each step over both planes before the next."""
+    for step in steps:
+        q = step.apply(q)
+        const = step.apply(const)
+    return q, const
+
+
+class _TileSteps:
+    """``steps`` over one tile at a time, in reused int64/float64 buffers.
+
+    The first call sizes the buffers (the encode front's first tile is
+    its largest); each step reads the previous one's result and writes
+    the int64 buffer, a multiply through the float64 one.
     """
-    with np.errstate(over="ignore"):  # the guard below reports the overflow
-        scaled = np.rint(np.asarray(q, dtype=np.float64) * factor)
-    limit = float(Q_LIMIT)
-    # max/min propagate NaN and NaN fails both comparisons, so this one
-    # guard rejects NaN, +-inf and every finite |x| >= Q_LIMIT.
-    if scaled.size and not (scaled.max() < limit and scaled.min() > -limit):
-        raise range_overflow("scalar multiplication")
-    return scaled.astype(np.int64)
+
+    def __init__(self, steps: tuple[Step, ...]) -> None:
+        self.steps = steps
+        self.ints = np.empty(0, dtype=np.int64)
+        self.floats = np.empty(0, dtype=np.float64)
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        n = q.size
+        if self.ints.size < n:
+            self.ints = np.empty(n, dtype=np.int64)
+            self.floats = np.empty(n, dtype=np.float64)
+        out, scratch = self.ints[:n], self.floats[:n]
+        for step in self.steps:
+            q = step.apply(q, out, scratch)
+        return q
 
 
 def rebuild_stored(
-    c: SZOpsCompressed,
-    blocks: StoredBlocks,
-    q_stored: np.ndarray,
-    const_outliers: np.ndarray,
+    c: SZOpsCompressed, blocks: StoredBlocks, steps: tuple[Step, ...] = ()
 ) -> SZOpsCompressed:
-    """Re-encode transformed quantized values into a new container.
+    """Re-encode ``blocks`` (a quantized view of ``c``'s geometry) after ``steps``.
 
-    ``q_stored`` replaces the concatenated quantized values of the stored
-    blocks of ``c`` (same ragged geometry as ``blocks.lens``);
-    ``const_outliers`` replaces the constant blocks' outliers.  The Lorenzo
-    operator is re-applied per stored block and the deltas re-encoded with
-    blockwise fixed-length encoding; constant blocks never touch a payload.
-    A stored block whose transformed deltas are all zero re-encodes at
-    width 0, i.e. it *becomes* constant (exactly as eager scalar
-    multiplication behaves).
+    The stored blocks' bins run through ``steps`` one block-aligned tile at
+    a time inside the encode front, so each tile is transformed, Lorenzo
+    coded and split into signs and magnitudes while it is in cache; the
+    constant blocks' outliers go through ``steps`` as one small plane and
+    never touch a payload.  A stored block whose transformed deltas are
+    all zero re-encodes at width 0, i.e. it *becomes* constant (exactly as
+    eager scalar multiplication behaves).  A failing guard raises the
+    error of the whole-plane order (:func:`apply_steps`): a tile can trip
+    a later step before another tile trips an earlier one.
 
-    Shared by :func:`repro.core.ops.scalar_mul.scalar_multiply` and the lazy
-    fusion runtime (:mod:`repro.runtime.lazy`) — one encode path is what
-    makes fused and eager chains produce identical streams.
+    Shared by :func:`repro.core.ops.scalar_mul.scalar_multiply`, the lazy
+    fusion runtime (:mod:`repro.runtime.lazy`) and the multivariate
+    combine — one encode path is what makes fused and eager chains
+    produce identical streams.
     """
     layout = c.layout
     stored = blocks.stored_mask
     new_outliers = np.empty(layout.n_blocks, dtype=np.int64)
     new_widths = np.zeros(layout.n_blocks, dtype=np.uint8)
-    new_outliers[~stored] = const_outliers
-
-    if q_stored.size:
-        # Only the globally last block may be ragged, so the stored blocks
-        # form a block layout of their own (``blocks.lens`` is its lengths).
-        front = encode_bins(q_stored, c.block_size)
+    sign_bytes = payload_bytes = np.zeros(0, dtype=np.uint8)
+    try:
+        const = blocks.const_outliers
+        for step in steps:
+            const = step.apply(const)
+        if blocks.q.size:
+            # Only the globally last block may be ragged, so the stored
+            # blocks form a block layout of their own.
+            front = encode_bins(
+                blocks.q, c.block_size, _TileSteps(steps) if steps else None
+            )
+    except OperationError as exc:
+        try:
+            apply_steps(steps, blocks.q, blocks.const_outliers)
+        except OperationError as first:
+            exc = first
+        raise exc from None
+    new_outliers[~stored] = const
+    if blocks.q.size:
         new_outliers[stored] = front.outliers
         new_widths[stored] = front.widths
         sign_bytes, payload_bytes = encode_block_sections(
             front.mags, front.signs, front.widths, blocks.lens
         )
-    else:
-        sign_bytes = np.zeros(0, dtype=np.uint8)
-        payload_bytes = np.zeros(0, dtype=np.uint8)
-
     return SZOpsCompressed(
         shape=c.shape,
         dtype=c.dtype,

@@ -97,7 +97,7 @@ def _combine(a: SZOpsCompressed, b: SZOpsCompressed, sign: int) -> SZOpsCompress
         q_sel = qc[np.repeat(any_stored, lens)]
     # The selected blocks keep the one ragged block last: a layout.
     combined = StoredBlocks(q_sel, lens[any_stored], any_stored, const, lens[both_const])
-    return rebuild_stored(a, combined, q_sel, const)
+    return rebuild_stored(a, combined)
 
 
 def add(a: SZOpsCompressed, b: SZOpsCompressed) -> SZOpsCompressed:

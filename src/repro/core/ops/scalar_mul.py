@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
-from repro.core.ops._partial import rebuild_stored, requantize, stored_quantized
+from repro.core.ops._partial import Requantize, rebuild_stored, stored_quantized
 from repro.core.ops.scalar_add import quantized_scalar_shift
 
 __all__ = ["scalar_multiply", "quantized_factor"]
@@ -49,13 +49,11 @@ def scalar_multiply(c: SZOpsCompressed, s: float) -> SZOpsCompressed:
     range.  ``s = 0`` is well-defined and yields an all-constant zero
     stream.
     """
-    s_rep = quantized_factor(s, c.eps)
-    blocks = stored_quantized(c)
     # Constant blocks: O(1) per block, no payload involved; stored blocks
-    # are decoded, scaled in the quantized integer domain, and re-encoded.
-    const_outliers = requantize(blocks.const_outliers, s_rep)
-    q_new = requantize(blocks.q, s_rep)
-    return rebuild_stored(c, blocks, q_new, const_outliers)
+    # are decoded, scaled in the quantized integer domain tile by tile, and
+    # re-encoded.
+    step = Requantize(quantized_factor(s, c.eps))
+    return rebuild_stored(c, stored_quantized(c), (step,))
 
 
 def quantized_factor(s: float, eps: float) -> float:

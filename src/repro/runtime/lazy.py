@@ -25,9 +25,11 @@ Materialization strategy:
 * a pending transform that is purely ``IntAffine`` materializes in **fully
   compressed space** (sign-bitmap flip + outlier shift) — no decode at all;
 * any transform containing a ``Requantize`` decodes the stored blocks once
-  (through the decoded-block cache), applies every step vectorized, and
-  re-encodes once via the same :func:`~repro.core.ops._partial.rebuild_stored`
-  path eager multiplication uses;
+  (through the decoded-block cache) and re-encodes once via the same
+  :func:`~repro.core.ops._partial.rebuild_stored` path eager multiplication
+  uses: the steps run per block-aligned tile inside the encode front, into
+  reused tile-sized buffers, so the chain and the re-encode are one pass
+  over the stored bins with no full-size temporaries;
 * reductions (:meth:`mean`, :meth:`variance`, :meth:`std`, :meth:`minimum`,
   :meth:`maximum`) skip the re-encode entirely: they take the exact
   :class:`~repro.core.moments.QuantizedMoments` of the transformed
@@ -44,20 +46,18 @@ at call time; the error raised is the same :class:`OperationError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
 from repro.core.moments import QuantizedMoments
 from repro.core.ops._partial import (
-    Q_LIMIT,
+    IntAffine,
+    Requantize,
+    Step,
     StoredBlocks,
-    ensure_quantized_range,
-    range_overflow,
+    apply_steps,
     rebuild_stored,
-    requantize,
     stored_quantized,
 )
 from repro.core.ops.negate import negate as eager_negate
@@ -68,52 +68,6 @@ from repro.parallel.backends import ExecutionBackend
 from repro.runtime.reduce import chunked_moments
 
 __all__ = ["LazyStream", "IntAffine", "Requantize", "lazy"]
-
-_FUSED_SHIFT = "fused scalar shift"
-
-
-@dataclass(frozen=True)
-class IntAffine:
-    """Exact integer step ``q -> sigma * q + shift`` (sigma in {+1, -1})."""
-
-    sigma: int
-    shift: int
-
-    def apply(self, q: np.ndarray) -> np.ndarray:
-        # The shift_outliers guard: a fused chain can accumulate a shift the
-        # eager path would have rejected step by step.
-        out = -q if self.sigma < 0 else q
-        return ensure_quantized_range(out, _FUSED_SHIFT, self.shift)
-
-    def apply_moments(self, m: QuantizedMoments) -> QuantizedMoments:
-        """Exact moments of ``sigma*q + shift`` from those of ``q``.
-
-        Raises exactly when :meth:`apply` would on the planes ``m`` sums.
-        """
-        shift = int(self.shift)
-        s1, lo, hi = (-m.s1, -m.hi, -m.lo) if self.sigma < 0 else (m.s1, m.lo, m.hi)
-        if shift and m.n and max(hi, -lo) + abs(shift) >= int(Q_LIMIT):
-            raise range_overflow(_FUSED_SHIFT)
-        n = m.n
-        s2 = m.s2 + 2 * shift * s1 + n * shift * shift
-        return QuantizedMoments(s1 + n * shift, s2, lo + shift, hi + shift, n)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.sigma == 1 and self.shift == 0
-
-
-@dataclass(frozen=True)
-class Requantize:
-    """Rounding step ``q -> round(q * s_rep)`` (scalar multiplication)."""
-
-    s_rep: float
-
-    def apply(self, q: np.ndarray) -> np.ndarray:
-        return requantize(q, self.s_rep)
-
-
-Step = IntAffine | Requantize
 
 
 class LazyStream:
@@ -220,13 +174,9 @@ class LazyStream:
     def _transformed_blocks(self) -> StoredBlocks:
         """Decode once (cached) and apply every pending step vectorized."""
         blocks = stored_quantized(self.base)
-        q = blocks.q
-        const = blocks.const_outliers
-        for step in self.steps:
-            q = step.apply(q)
-            const = step.apply(const)
-        if q is blocks.q:
+        if not self.steps:
             return blocks
+        q, const = apply_steps(self.steps, blocks.q, blocks.const_outliers)
         return StoredBlocks(
             q=q,
             lens=blocks.lens,
@@ -251,8 +201,7 @@ class LazyStream:
             (step,) = self.steps
             out = eager_negate(self.base) if step.sigma < 0 else self.base
             return shift_outliers(out, step.shift)
-        blocks = self._transformed_blocks()
-        return rebuild_stored(self.base, blocks, blocks.q, blocks.const_outliers)
+        return rebuild_stored(self.base, stored_quantized(self.base), self.steps)
 
     # ------------------------------------------------------------------ reductions
 

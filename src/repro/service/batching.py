@@ -28,9 +28,13 @@ to the eager :func:`repro.core.ops.apply_chain` path — batching changes
 one flight fails only the requests attached to that flight.
 
 The batcher is event-loop-confined: ``submit`` must be called from the
-owning loop.  The window (default 2 ms) bounds added latency; a window
-of 0 still dedups identical concurrent requests but groups only what is
-already queued.
+owning loop.  A batching window opens only while there is company to
+wait for: when its drain starts, another flight is queued or executing.
+A lone request on an idle batcher drains at the next loop turn, after
+the submits of the current one (which still dedup and group), so it
+never waits the window.  The window (default 2 ms) bounds added
+latency; a window of 0 still dedups identical concurrent requests but
+groups only what is already queued.
 """
 
 from __future__ import annotations
@@ -75,7 +79,9 @@ class MicroBatcher:
     ----------
     pool : the ``concurrent.futures`` executor heavy work is offloaded
         to (the server's kernel pool).
-    window_s : how long the first request of a batch waits for company.
+    window_s : how long the first request of a batch waits for company,
+        when another flight is queued or executing (an idle batcher
+        drains at the next loop turn).
     max_batch : hard cap on flights drained per batch (backpressure on
         pathological bursts; excess flights roll into the next batch).
     telemetry : optional sink for batch/dedup counters.
@@ -144,10 +150,12 @@ class MicroBatcher:
     # ------------------------------------------------------------------ internals
 
     async def _drain_after_window(self) -> None:
-        if self.window_s:
+        # Every queued or executing flight is in _flights: wait for
+        # company only when this batch is not the lone one.
+        if self.window_s and len(self._flights) > 1:
             await asyncio.sleep(self.window_s)
         await self._drain_batch()
-        # Requests that arrived while the batch executed start a new window.
+        # Requests that arrived while the batch executed drain next.
         if self._queued:
             loop = asyncio.get_running_loop()
             self._drain_task = loop.create_task(self._drain_after_window())

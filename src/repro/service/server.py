@@ -98,7 +98,8 @@ class ServiceConfig:
     max_pending: int = 64
     #: Server-side default deadline per request.
     request_timeout_s: float = 30.0
-    #: Micro-batching window; 0 disables coalescing delay but keeps dedup.
+    #: Micro-batching window, waited only while another request is queued
+    #: or executing; 0 disables coalescing delay but keeps dedup.
     batch_window_s: float = 0.002
     batching: bool = True
     max_frame: int = protocol.DEFAULT_MAX_FRAME

@@ -36,8 +36,14 @@ from repro.core.quantize import quantize
 # ---------------------------------------------------------------------------
 
 
-def reference_front(q: np.ndarray, block_size: int) -> EncodeFront:
-    """The whole-array encode front over bins ``q``."""
+def reference_front(q: np.ndarray, block_size: int, tile_map=None) -> EncodeFront:
+    """The whole-array encode front over bins ``q``.
+
+    A re-encode's pending steps (``tile_map``) run over all of ``q`` at
+    once, before the front, where the production front runs them per tile.
+    """
+    if tile_map is not None:
+        q = tile_map(q)
     layout = BlockLayout(q.size, block_size)
     deltas, outliers = lorenzo_forward(q, layout)
     signs = (deltas < 0).view(np.uint8)
@@ -89,7 +95,8 @@ def reference_encodings(x: np.ndarray, eps: float, block_size: int, n_threads: i
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compressor, "encode_values", reference_values)
         mp.setattr("repro.baselines.szp.encode_values", reference_values)
-        # multivariate add/subtract re-encode through _partial too
+        # scalar_multiply, lazy materialize and multivariate add/subtract
+        # re-encode through _partial
         mp.setattr(_partial, "encode_bins", reference_front)
         return encodings(x, eps, block_size, n_threads)
 

@@ -1,0 +1,217 @@
+"""One-pass pointwise chains: the steps run per tile inside the encode front.
+
+``rebuild_stored`` applies a chain's ``IntAffine``/``Requantize`` steps to
+each block-aligned tile of the stored bins just before the tile is Lorenzo
+coded.  The oracle here is the whole-plane order the reductions still use
+(:func:`~repro.core.ops._partial.apply_steps`: each step over every bin,
+stored and constant, before the next step), re-encoded with no pending
+steps: the fused stream must equal its bytes, and a failing chain must
+raise its error.  A tile can trip a later step before another tile trips
+an earlier one, so the error is the one thing tiling could change.
+
+Streams are built straight from bins (``eps = 0.5`` makes a bin one unit),
+so overflows sit exactly where a test puts them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import SZOps, lazy, ops
+from repro.core.encode import FRONT_TILE
+from repro.core.errors import OperationError
+from repro.core.ops._partial import rebuild_stored
+from repro.runtime import IntAffine, LazyStream, Requantize
+
+EPS = 0.5
+
+
+def tile_length(block_size: int) -> int:
+    return max(1, FRONT_TILE // block_size) * block_size
+
+
+def stream_of(q: np.ndarray, block_size: int = 64):
+    q = np.asarray(q, dtype=np.int64)
+    return SZOps(block_size=block_size).encode_quantized(q, q.shape, np.float64, EPS)
+
+
+def noisy_bins(n: int, seed: int, constant_every: int = 0, block_size: int = 64):
+    """Small random bins; every ``constant_every``-th block made constant."""
+    rng = np.random.default_rng(seed)
+    q = rng.integers(-3, 4, size=n)
+    if constant_every:
+        for start in range(0, n, constant_every * block_size):
+            q[start : start + block_size] = rng.integers(-50, 50)
+    return q
+
+
+def outcome(fn):
+    """``("ok", bytes)`` or ``("error", message)`` of one forcing."""
+    try:
+        return "ok", fn().to_bytes()
+    except OperationError as exc:
+        return "error", str(exc)
+
+
+def whole_plane(chain: LazyStream):
+    """The whole-plane reference: transform every bin, then re-encode."""
+    return outcome(lambda: rebuild_stored(chain.base, chain._transformed_blocks()))
+
+
+def assert_fused_matches_whole_plane(chain: LazyStream):
+    want = whole_plane(chain)
+    assert outcome(chain.materialize) == want
+    return want
+
+
+# ---------------------------------------------------------------------------
+# error precedence
+# ---------------------------------------------------------------------------
+
+
+def test_multiply_in_a_late_tile_outranks_a_shift_in_tile_zero():
+    tile = tile_length(64)
+    q = noisy_bins(2 * tile + 37, seed=1)
+    q[:tile] += 2**60  # x2 -> 2^61, + 2^61 -> 2^62: the shift trips tile 0
+    q[-5] = 2**61 + 5  # x2 -> past 2^62: the multiply trips the ragged tail
+    c = stream_of(q)
+    chain = lazy(c).scalar_multiply(2.0).scalar_add(2.0**61)
+    assert chain.steps == (Requantize(2.0), IntAffine(1, 2**61))
+    kind, message = assert_fused_matches_whole_plane(chain)
+    assert kind == "error" and message.startswith("scalar multiplication")
+    with pytest.raises(OperationError) as eager:
+        ops.apply_chain(c, [("scalar_multiply", 2.0), ("scalar_add", 2.0**61)], fused=False)
+    assert str(eager.value) == message
+    with pytest.raises(OperationError, match="^scalar multiplication"):
+        chain.mean()
+
+
+def test_shift_in_tile_zero_alone_reports_the_shift():
+    tile = tile_length(64)
+    q = noisy_bins(2 * tile + 37, seed=1)
+    q[:tile] += 2**60
+    chain = lazy(stream_of(q)).scalar_multiply(2.0).scalar_add(2.0**61)
+    kind, message = assert_fused_matches_whole_plane(chain)
+    assert kind == "error" and message.startswith("fused scalar shift")
+
+
+def test_overflowing_constant_block_outlier():
+    q = noisy_bins(5 * 64, seed=2)
+    q[64:128] = 2**61 + 5  # one constant block, x2 overflows
+    chain = lazy(stream_of(q)).scalar_multiply(2.0)
+    kind, message = assert_fused_matches_whole_plane(chain)
+    assert kind == "error" and message.startswith("scalar multiplication")
+    with pytest.raises(OperationError, match="^scalar multiplication"):
+        ops.scalar_multiply(stream_of(q), 2.0)
+
+
+@pytest.mark.parametrize("late", ["stored", "constant"])
+def test_constant_plane_and_stored_tiles_keep_the_step_order(late):
+    """Step 0 failing on one plane outranks step 1 failing on the other."""
+    tile = tile_length(64)
+    q = noisy_bins(2 * tile + 64, seed=3)
+    if late == "stored":
+        q[64:128] = 2**60  # constant block: only the shift overflows it
+        q[-3] = 2**61 + 5  # stored tail: the multiply overflows it
+    else:
+        q[:tile] += 2**60  # stored tile 0: only the shift overflows it
+        q[-64:] = 2**61 + 5  # constant last block: the multiply overflows it
+    chain = lazy(stream_of(q)).scalar_multiply(2.0).scalar_add(2.0**61)
+    kind, message = assert_fused_matches_whole_plane(chain)
+    assert kind == "error" and message.startswith("scalar multiplication")
+
+
+@pytest.mark.parametrize("s_rep", [np.inf, -np.inf, np.nan, 1e308, -1e308])
+def test_nan_and_infinite_products_raise(s_rep):
+    """``0 * inf`` is NaN, ``2 * 1e308`` is inf: the guard rejects both."""
+    q = noisy_bins(FRONT_TILE + 1, seed=4, constant_every=3)
+    chain = LazyStream(stream_of(q), (IntAffine(-1, 0), Requantize(s_rep)))
+    kind, message = assert_fused_matches_whole_plane(chain)
+    assert kind == "error" and message.startswith("scalar multiplication")
+
+
+# ---------------------------------------------------------------------------
+# identity: geometry edges
+# ---------------------------------------------------------------------------
+
+CHAINS = [
+    [("negation", None), ("scalar_multiply", 0.5), ("scalar_add", 1.0)],
+    [("scalar_multiply", -3.0)],
+    [("scalar_add", 7.0), ("scalar_multiply", 0.25), ("scalar_multiply", 3.0)],
+]
+
+
+@pytest.mark.parametrize("chain", CHAINS + [[("negation", None), ("scalar_add", 1.0)]])
+def test_all_constant_stream(chain):
+    """An empty stored plane: only the constant outliers go through the steps."""
+    q = np.repeat(np.arange(-20, 20), 64)
+    c = stream_of(q)
+    assert not (c.widths > 0).any()
+    fused = lazy(c)
+    for name, scalar in chain:
+        fused = fused.apply(name, scalar)
+    kind, data = assert_fused_matches_whole_plane(fused)
+    assert kind == "ok"
+    assert data == ops.apply_chain(c, chain, fused=False).to_bytes()
+    assert np.array_equal(fused.quantized(), SZOps().decompress_quantized(fused.materialize()))
+    overflow = LazyStream(stream_of(q + 2**61), (Requantize(2.0),))
+    assert assert_fused_matches_whole_plane(overflow)[0] == "error"
+
+
+@pytest.mark.parametrize("block_size", [8, 24, 64])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_tile_edges_and_ragged_tails(block_size, k, d):
+    n = k * tile_length(block_size) + d
+    q = noisy_bins(n, seed=n, constant_every=4, block_size=block_size)
+    c = stream_of(q, block_size)
+    for chain in CHAINS:
+        fused = lazy(c)
+        for name, scalar in chain:
+            fused = fused.apply(name, scalar)
+        kind, data = assert_fused_matches_whole_plane(fused)
+        assert kind == "ok"
+        assert data == ops.apply_chain(c, chain, fused=False).to_bytes()
+    # the multiply overflows the very last bin, the shift the first tile
+    q[: tile_length(block_size)] += 2**60
+    q[-1] = 2**61 + 5
+    chain = lazy(stream_of(q, block_size)).scalar_multiply(2.0).scalar_add(2.0**61)
+    kind, message = assert_fused_matches_whole_plane(chain)
+    assert kind == "error" and message.startswith("scalar multiplication")
+
+
+# ---------------------------------------------------------------------------
+# property: fused == whole-plane, bytes or error, for random chains
+# ---------------------------------------------------------------------------
+
+STEP = st.one_of(
+    st.tuples(st.just("negation"), st.none()),
+    st.tuples(st.just("scalar_add"), st.sampled_from([1.0, -3.0, 2.0**59, -(2.0**61)])),
+    st.tuples(
+        st.just("scalar_multiply"), st.sampled_from([0.5, -2.0, 3.0, 0.0, 2.0**20])
+    ),
+)
+
+
+@given(
+    block_size=st.sampled_from([8, 24, 64]),
+    tiles=st.integers(min_value=0, max_value=2),
+    extra=st.integers(min_value=-70, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    offset=st.sampled_from([0, 2**40, -(2**58), 2**60]),
+    chain=st.lists(STEP, min_size=1, max_size=4),
+)
+@settings(deadline=None)
+def test_fused_matches_whole_plane(block_size, tiles, extra, seed, offset, chain):
+    n = max(1, tiles * tile_length(block_size) + extra)
+    q = noisy_bins(n, seed, constant_every=3, block_size=block_size)
+    q[: n // 2] += offset
+    fused = lazy(stream_of(q, block_size))
+    for name, scalar in chain:
+        fused = fused.apply(name, scalar)
+    if not any(isinstance(s, Requantize) for s in fused.steps):
+        fused = LazyStream(fused.base, fused.steps + (Requantize(1.0),))
+    assert_fused_matches_whole_plane(fused)

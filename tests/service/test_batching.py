@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -211,3 +212,65 @@ def test_resubmit_after_flight_resolved_starts_a_new_flight(pool):
     assert results == ("fast", "fast", "slow")
     assert len(fast_calls) == 2
     assert telemetry.counter("batch_dedup_hits") == 0
+
+
+def test_lone_submit_does_not_wait_the_window(pool):
+    """An idle batcher drains a lone request at the next loop turn."""
+
+    async def scenario():
+        batcher = MicroBatcher(pool, window_s=10.0)
+        t0 = time.perf_counter()
+        result = await asyncio.wait_for(
+            batcher.submit(("fp", "op"), "fp", lambda: "done"), timeout=5.0
+        )
+        return result, time.perf_counter() - t0
+
+    result, elapsed = run(scenario())
+    assert result == "done"
+    assert elapsed < 1.0
+
+
+def test_submits_behind_an_executing_flight_share_one_batch(pool):
+    """While a flight executes, distinct keys on one array still group."""
+    started = threading.Event()
+    release = threading.Event()
+    threads: dict[str, str] = {}
+
+    def held():
+        started.set()
+        release.wait(timeout=10)
+        return "held"
+
+    def make_compute(i):
+        def compute():
+            threads[f"c{i}"] = threading.current_thread().name
+            return i
+
+        return compute
+
+    async def scenario():
+        telemetry = Telemetry()
+        batcher = MicroBatcher(pool, window_s=0.005, telemetry=telemetry)
+        held_task = asyncio.ensure_future(batcher.submit(("fp", "held"), "fp", held))
+        for _ in range(5000):
+            if started.is_set():
+                break
+            await asyncio.sleep(0.001)
+        assert started.is_set()
+        tasks = []
+        for i in range(4):  # one submit per loop turn
+            tasks.append(
+                asyncio.ensure_future(batcher.submit(("fp", f"c{i}"), "fp", make_compute(i)))
+            )
+            await asyncio.sleep(0)
+        assert batcher.pending == 4
+        release.set()
+        results = await asyncio.wait_for(asyncio.gather(*tasks), timeout=5.0)
+        assert await asyncio.wait_for(held_task, timeout=5.0) == "held"
+        return results, telemetry
+
+    results, telemetry = run(scenario())
+    assert results == [0, 1, 2, 3]
+    assert len(set(threads.values())) == 1  # one batch -> one pool job
+    assert telemetry.counter("batches") == 2
+    assert telemetry.counter("batched_flights") == 5
