@@ -12,9 +12,6 @@ import pytest
 
 from repro import SZOps, ops
 from repro.datasets.synthetic import FieldSpec, synthesize_field
-from repro.harness import run_ablation_constant_blocks
-
-from conftest import emit
 
 
 @pytest.mark.parametrize("plateau", [0.0, 0.8])
@@ -26,14 +23,13 @@ def test_mean_kernel_vs_constant_fraction(benchmark, plateau, bench_cfg):
     benchmark(ops.mean, c)
 
 
-def test_ablation_constant_blocks_report(benchmark, bench_cfg):
-    result = benchmark.pedantic(
-        run_ablation_constant_blocks, args=(bench_cfg,), rounds=1, iterations=1
+def test_ablation_constant_blocks_report(benchmark, table_cells):
+    cells = benchmark.pedantic(
+        table_cells, args=("ablation-constant-blocks",), rounds=1, iterations=1
     )
-    emit(result)
-    rows = result.rows
+    rows = [c["metrics"] for c in cells]
     # constant fraction grows with the plateau sweep ...
-    fractions = [r[1] for r in rows]
+    fractions = [m["constant_pct"] for m in rows]
     assert fractions == sorted(fractions)
     # ... and the most constant-heavy case reduces much faster than the least
-    assert rows[-1][2] < 0.7 * rows[0][2]
+    assert rows[-1]["mean_seconds"] < 0.7 * rows[0]["mean_seconds"]

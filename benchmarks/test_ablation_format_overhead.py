@@ -11,9 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import make_codec
-from repro.harness import run_ablation_format
-
-from conftest import emit
 
 
 @pytest.mark.parametrize(
@@ -29,13 +26,10 @@ def test_szp_variant_compression(benchmark, variant, kwargs, hurricane_field, be
     benchmark.extra_info["ratio"] = round(blob.compression_ratio, 3)
 
 
-def test_ablation_format_report(benchmark, bench_cfg):
-    result = benchmark.pedantic(
-        run_ablation_format, args=(bench_cfg,), rounds=1, iterations=1
+def test_ablation_format_report(benchmark, table_cells):
+    cells = benchmark.pedantic(
+        table_cells, args=("ablation-format",), rounds=1, iterations=1
     )
-    emit(result)
-    ratios = {row[0]: row[1] for row in result.rows}
-    assert ratios["all three off (SZOps-shaped)"] > ratios["SZp (faithful format)"]
-    assert ratios["SZOps container"] == pytest.approx(
-        ratios["all three off (SZOps-shaped)"], rel=0.06
-    )
+    ratios = {c["metrics"]["codec"]: c["metrics"]["mean_ratio"] for c in cells}
+    assert ratios["SZp-stripped"] > ratios["SZp"]
+    assert ratios["SZOps"] == pytest.approx(ratios["SZp-stripped"], rel=0.06)

@@ -10,10 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import make_codec
-from repro.harness import run_table4
+from repro.harness.experiments import render_artifact
 from repro.workflow import run_traditional
-
-from conftest import emit
 
 
 @pytest.mark.parametrize("codec_name", ["SZp", "SZ2", "SZ3", "SZx", "ZFP"])
@@ -27,14 +25,17 @@ def test_traditional_negation_per_codec(benchmark, codec_name, hurricane_field, 
     )
 
 
-def test_table4_report(benchmark, bench_cfg):
-    """Regenerate the full Table IV and persist it to results/table4.md."""
-    result = benchmark.pedantic(run_table4, args=(bench_cfg,), rounds=1, iterations=1)
-    text = emit(result)
-    assert "SZp" in text
+def test_table4_report(benchmark, table_cells):
+    """Run the table4 table and persist results/table4.md."""
+    cells = benchmark.pedantic(table_cells, args=("table4",), rounds=1, iterations=1)
+    assert "SZp" in render_artifact("table4", cells)
+    mbs: dict[str, dict[str, float]] = {}
+    for cell in cells:
+        m = cell["metrics"]
+        mbs.setdefault(m["op"], {})[m["codec"]] = m["traditional_mbs"]
     # shape check: SZp is the fastest traditional codec for scalar ops
     # (within measurement noise SZx can tie; require >= 0.7x of the max).
-    for row in result.rows:
-        op, szp, sz2, sz3, szx, zfp = row
+    for op, by_codec in mbs.items():
+        szp, sz2, sz3, szx, zfp = (by_codec[c] for c in ("SZp", "SZ2", "SZ3", "SZx", "ZFP"))
         assert szp > sz2 and szp > sz3, f"SZp must beat SZ2/SZ3 on {op}"
         assert szp >= 0.6 * max(szp, szx, zfp), op

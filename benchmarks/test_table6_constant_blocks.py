@@ -8,9 +8,6 @@ from __future__ import annotations
 
 from repro import SZOps
 from repro.datasets import generate_fields
-from repro.harness import run_table6
-
-from conftest import emit
 
 
 def test_constant_block_detection_kernel(benchmark, bench_cfg):
@@ -21,13 +18,18 @@ def test_constant_block_detection_kernel(benchmark, bench_cfg):
     assert c.constant_fraction > 0.2
 
 
-def test_table6_report(benchmark, bench_cfg):
-    """Regenerate Table VI and persist results/table6.md."""
-    result = benchmark.pedantic(run_table6, args=(bench_cfg,), rounds=1, iterations=1)
-    emit(result)
-    pct = {row[0]: row[3] for row in result.rows}
+def test_table6_report(benchmark, bench_cfg, table_cells):
+    """Run the table6 table and persist results/table6.md."""
+    cells = benchmark.pedantic(
+        table_cells,
+        args=("table6",),
+        kwargs={"datasets": tuple(bench_cfg.datasets)},
+        rounds=1,
+        iterations=1,
+    )
+    pct = {c["metrics"]["dataset"]: c["metrics"]["constant_pct"] for c in cells}
     # Orderings we reproduce (see EXPERIMENTS.md for the SCALE deviation):
     assert pct["CESM-ATM"] == min(pct[d] for d in ("Hurricane", "CESM-ATM", "Miranda"))
     assert pct["SCALE-LETKF"] == max(pct.values())
-    for row in result.rows:
-        assert 0 < row[3] < 100
+    for value in pct.values():
+        assert 0 < value < 100

@@ -11,9 +11,6 @@ import pytest
 
 from repro import SZOps
 from repro.baselines import make_codec
-from repro.harness import run_table7
-
-from conftest import emit
 
 
 @pytest.mark.parametrize("codec_name", ["SZOps", "SZp", "SZ2", "SZ3", "SZx", "ZFP"])
@@ -24,15 +21,23 @@ def test_compression_kernel_per_codec(benchmark, codec_name, hurricane_field, be
     benchmark.extra_info["ratio"] = round(blob.compression_ratio, 3)
 
 
-def test_table7_report(benchmark, bench_cfg):
-    """Regenerate Table VII and persist results/table7.md."""
-    result = benchmark.pedantic(run_table7, args=(bench_cfg,), rounds=1, iterations=1)
-    emit(result)
-    for row in result.rows:
-        ds, szops, szp, sz2, sz3, szx, zfp = row
-        assert szops > szp, f"{ds}: SZOps must out-compress SZp (Section VI-B3)"
-        assert max(sz2, sz3) > szops, f"{ds}: SZ-family must out-compress SZOps"
+def test_table7_report(benchmark, bench_cfg, table_cells):
+    """Run the table7 table and persist results/table7.md."""
+    cells = benchmark.pedantic(
+        table_cells,
+        args=("table7",),
+        kwargs={"datasets": tuple(bench_cfg.datasets)},
+        rounds=1,
+        iterations=1,
+    )
+    ratio: dict[str, dict[str, float]] = {}
+    for cell in cells:
+        m = cell["metrics"]
+        ratio.setdefault(m["dataset"], {})[m["codec"]] = m["mean_ratio"]
+    for ds, r in ratio.items():
+        assert r["SZOps"] > r["SZp"], f"{ds}: SZOps must out-compress SZp (Section VI-B3)"
+        assert max(r["SZ2"], r["SZ3"]) > r["SZOps"], f"{ds}: SZ-family must out-compress SZOps"
     # dataset ordering: SCALE-LETKF most compressible, as in the paper
-    szops_col = {row[0]: row[1] for row in result.rows}
+    szops_col = {ds: r["SZOps"] for ds, r in ratio.items()}
     assert szops_col["SCALE-LETKF"] == max(szops_col.values())
     assert szops_col["SCALE-LETKF"] > 2 * szops_col["Miranda"]

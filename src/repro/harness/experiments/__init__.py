@@ -4,7 +4,8 @@ The perf substrate every speed PR reports through (see
 docs/EXPERIMENTS.md):
 
 * :mod:`~repro.harness.experiments.runtable` — declarative factorial run
-  tables with deterministic expansion and content-addressed cells;
+  tables with deterministic expansion and content-addressed cells, and
+  the paper-artifact specs rendered from them;
 * :mod:`~repro.harness.experiments.executor` — cell execution through
   the real ``SZOps`` / ``runtime`` / ``parallel`` / ``service`` /
   ``cluster`` layers: the one implementation of every timed workload;
@@ -12,7 +13,8 @@ docs/EXPERIMENTS.md):
   directories (manifest, environment capture, raw cell JSON);
 * :mod:`~repro.harness.experiments.index` — the cross-run SQLite index;
 * :mod:`~repro.harness.experiments.report` — ``report.json`` / markdown
-  rendering with repetition-based confidence intervals;
+  rendering with repetition-based confidence intervals, and the one
+  renderer of the paper's tables and figures (``render_artifact``);
 * :mod:`~repro.harness.experiments.compare` — the regression gate
   (identity hard-fails, CPU-count-gated timing);
 * :mod:`~repro.harness.experiments.runner` — orchestration with
@@ -32,6 +34,7 @@ from repro.harness.experiments.compare import (
     compare_runs,
 )
 from repro.harness.experiments.executor import (
+    DEFAULT_SCALAR,
     WORKLOADS,
     ExecutionContext,
     chain_for_depth,
@@ -51,26 +54,33 @@ from repro.harness.experiments.report import (
     REPORT_SCHEMA_VERSION,
     build_report,
     confidence_interval,
+    render_artifact,
     render_report_json,
     render_report_markdown,
     report_from_index,
 )
 from repro.harness.experiments.runner import RunResult, run_experiment
 from repro.harness.experiments.runtable import (
+    ARTIFACTS,
     PREDEFINED_TABLES,
+    ArtifactSpec,
     Cell,
     RunTable,
     canonical_json,
     get_table,
+    table_artifacts,
     table_names,
 )
 
 __all__ = [
+    "ARTIFACTS",
     "ARTIFACT_SCHEMA_VERSION",
+    "DEFAULT_SCALAR",
     "INDEX_SCHEMA_VERSION",
     "MIN_CPUS_FOR_TIMING_GATE",
     "PREDEFINED_TABLES",
     "REPORT_SCHEMA_VERSION",
+    "ArtifactSpec",
     "Cell",
     "CompareResult",
     "ExecutionContext",
@@ -95,9 +105,11 @@ __all__ = [
     "latest_run_id",
     "list_runs",
     "open_index",
+    "render_artifact",
     "render_report_json",
     "render_report_markdown",
     "report_from_index",
     "run_experiment",
+    "table_artifacts",
     "table_names",
 ]

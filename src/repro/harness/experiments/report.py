@@ -7,6 +7,10 @@ pure function of the JSON document.  The golden-file test suite pins
 this — a rendering change must bump :data:`REPORT_SCHEMA_VERSION` and
 regenerate the goldens, never drift silently.
 
+:func:`render_artifact` renders the paper's tables and figures
+(``results/<artifact>.md``) from the same cell documents, one
+:data:`~repro.harness.experiments.runtable.ARTIFACTS` spec each.
+
 Each cell entry carries the cell's full metrics document (what the
 executor recorded, floats rounded like the rest of the report), so the
 report is the one machine-readable record of a run: CI checks and the
@@ -25,12 +29,14 @@ import sqlite3
 from typing import Any, Mapping
 
 from repro.harness.experiments import index as index_mod
+from repro.harness.experiments.runtable import ARTIFACTS
 from repro.harness.tables import render_table
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
     "build_report",
     "confidence_interval",
+    "render_artifact",
     "render_report_json",
     "render_report_markdown",
     "report_from_index",
@@ -222,3 +228,33 @@ def report_from_index(
     cells = index_mod.get_cells(conn, rid)
     report = build_report(run, cells)
     return report, render_report_markdown(report)
+
+
+def render_artifact(name: str, cells: list[Mapping[str, Any]]) -> str:
+    """Markdown for one paper artifact from its run table's cell documents."""
+    spec = ARTIFACTS[name]
+    metrics = [cell["metrics"] for cell in cells]
+    key_headers = [header for header, _ in spec.rows]
+
+    def row_key(m: Mapping[str, Any]) -> list[Any]:
+        return [m[key] for _, key in spec.rows]
+
+    if spec.pivot is None:
+        headers = key_headers + [header for header, _ in spec.values]
+        rows = [row_key(m) + [m[key] for _, key in spec.values] for m in metrics]
+    else:
+        value_key = spec.values[0][1]
+        columns = list(dict.fromkeys(m[spec.pivot] for m in metrics))
+        merged: dict[tuple[Any, ...], dict[Any, Any]] = {}
+        for m in metrics:
+            merged.setdefault(tuple(row_key(m)), {})[m[spec.pivot]] = m[value_key]
+        headers = key_headers + [str(c) for c in columns]
+        rows = [
+            [*key, *(by_column[c] for c in columns)]
+            for key, by_column in merged.items()
+        ]
+    parts = [render_table(headers, rows, title=spec.title)]
+    if spec.notes:
+        parts.append("")
+        parts.extend(f"> {note}" for note in spec.notes)
+    return "\n".join(parts) + "\n"

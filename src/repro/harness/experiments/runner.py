@@ -10,7 +10,8 @@
 3. execute every cell that has no completed artifact yet, writing each
    cell's raw JSON as soon as it finishes — a crash loses at most the
    in-flight cell;
-4. render ``report.json`` + ``report.md`` into the run directory;
+4. render ``report.json`` + ``report.md`` into the run directory, plus
+   ``<artifact>.md`` for every paper artifact the table renders;
 5. append the run to the cross-run SQLite index (if one was given).
 
 ``execute`` is injectable so the property-based suite can drive the
@@ -27,8 +28,12 @@ from repro.harness.config import BenchConfig
 from repro.harness.experiments import index as index_mod
 from repro.harness.experiments.artifacts import RunDir
 from repro.harness.experiments.executor import ExecutionContext, execute_cell
-from repro.harness.experiments.report import build_report, render_report_markdown
-from repro.harness.experiments.runtable import Cell, RunTable
+from repro.harness.experiments.report import (
+    build_report,
+    render_artifact,
+    render_report_markdown,
+)
+from repro.harness.experiments.runtable import Cell, RunTable, table_artifacts
 
 __all__ = ["RunResult", "run_experiment"]
 
@@ -114,6 +119,10 @@ def run_experiment(
 
     report = build_report(manifest, documents)
     run_dir.write_report(report, render_report_markdown(report))
+    for artifact in table_artifacts(table.name):
+        (run_dir.path / f"{artifact}.md").write_text(
+            render_artifact(artifact, documents), encoding="utf-8"
+        )
 
     if index_path is not None:
         conn = index_mod.open_index(index_path, create=True)

@@ -28,7 +28,6 @@ __all__ = [
     "encode_chunk",
     "decode_chunk",
     "reduce_moments_chunk",
-    "compress_field_chunk",
 ]
 
 
@@ -108,36 +107,3 @@ def reduce_moments_chunk(
 ) -> QuantizedMoments:
     """Exact moments of ``q[lo:hi]`` (combined by the caller)."""
     return QuantizedMoments.of_values(arrays["q"][chunk["lo"] : chunk["hi"]])
-
-
-# ---------------------------------------------------------------------------
-# in-situ multi-field kernel (one whole field per chunk)
-# ---------------------------------------------------------------------------
-
-#: Lazy per-worker codec cache, keyed by block size.  Pool workers are
-#: long-lived, so each builds its codec state once and reuses it across
-#: fields and timesteps (warm-pool amortization).
-_FIELD_CODECS: dict[int, Any] = {}
-
-
-def _field_codec(block_size: int) -> Any:
-    codec = _FIELD_CODECS.get(block_size)
-    if codec is None:
-        from repro.core.compressor import SZOps
-
-        codec = SZOps(block_size=block_size, n_threads=1, backend="serial")
-        _FIELD_CODECS[block_size] = codec
-    return codec
-
-
-def compress_field_chunk(arrays: dict[str, np.ndarray], chunk: dict[str, Any]) -> bytes:
-    """Compress one named field end to end; returns the serialized stream.
-
-    The chunk names the field (``field``), the error bound (``eps``), its
-    interpretation (``mode``) and the block size.  The returned bytes are
-    the *compressed* stream — small relative to the field — so this is the
-    one kernel whose result legitimately rides the pickle channel.
-    """
-    codec = _field_codec(int(chunk["block_size"]))
-    c = codec.compress(arrays[chunk["field"]], chunk["eps"], mode=chunk.get("mode", "abs"))
-    return bytes(c.to_bytes())

@@ -35,7 +35,7 @@ _levels = st.one_of(
 
 
 @st.composite
-def run_tables(draw) -> RunTable:
+def factorial_tables(draw) -> RunTable:
     n_factors = draw(st.integers(min_value=1, max_value=4))
     factor_names = draw(
         st.lists(_names, min_size=n_factors, max_size=n_factors, unique=True)
@@ -57,7 +57,7 @@ def run_tables(draw) -> RunTable:
 # -- expansion --------------------------------------------------------------
 
 
-@given(run_tables())
+@given(factorial_tables())
 def test_cell_count_is_product_of_level_counts(table):
     expected = math.prod(len(v) for v in table.factors.values())
     cells = table.expand()
@@ -66,7 +66,7 @@ def test_cell_count_is_product_of_level_counts(table):
     assert [c.index for c in cells] == list(range(expected))
 
 
-@given(run_tables())
+@given(factorial_tables())
 def test_expansion_is_deterministic_and_row_major(table):
     first = table.expand()
     second = table.expand()
@@ -81,7 +81,7 @@ def test_expansion_is_deterministic_and_row_major(table):
     assert [dict(c.factors) for c in first] == expected
 
 
-@given(run_tables())
+@given(factorial_tables())
 def test_cell_ids_are_unique_and_content_addressed(table):
     cells = table.expand()
     assert len({c.cell_id for c in cells}) == len(cells)
@@ -104,7 +104,7 @@ def test_cell_ids_are_unique_and_content_addressed(table):
 # -- serialization / hashing ------------------------------------------------
 
 
-@given(run_tables())
+@given(factorial_tables())
 def test_table_round_trips_through_json_text(table):
     doc = json.loads(json.dumps(table.to_json()))
     restored = RunTable.from_json(doc)
@@ -113,7 +113,7 @@ def test_table_round_trips_through_json_text(table):
     assert restored.config_hash(cfg) == table.config_hash(cfg)
 
 
-@given(run_tables(), st.integers(min_value=0, max_value=2**31))
+@given(factorial_tables(), st.integers(min_value=0, max_value=2**31))
 def test_config_hash_depends_on_bench_seed(table, seed):
     cfg_a = BenchConfig(seed=seed)
     cfg_b = BenchConfig(seed=seed + 1)

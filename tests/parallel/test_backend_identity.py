@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.compressor import SZOps
-from repro.harness.runner import compress_fields
 from repro.parallel.backends import available_backends, get_backend
 from repro.runtime.reduce import (
     parallel_mean,
@@ -138,10 +137,3 @@ class TestReductionIdentity:
         c = codec.compress(fields["smooth"], EPS)
         with get_backend("processes", 2) as be:
             assert parallel_mean(c, be) == ops.mean(c)
-
-
-class TestMultiFieldInSitu:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_compress_fields_identical(self, fields, reference, backend):
-        got = compress_fields(fields, EPS, backend, n_workers=2, block_size=64)
-        assert {n: c.to_bytes() for n, c in got.items()} == reference
