@@ -311,7 +311,6 @@ def verify_szops_bytes(data: bytes, path: str = "<bytes>") -> list[Finding]:
             return findings
 
         layout = BlockLayout(n_elements, block_size)
-        lens = layout.lengths().astype(object)  # python ints: no overflow
         plane_offset = c.pos
         widths = np.frombuffer(
             c.take(layout.n_blocks, "width plane"), dtype=np.uint8
@@ -361,9 +360,10 @@ def verify_szops_bytes(data: bytes, path: str = "<bytes>") -> list[Finding]:
             return findings
         c.take(out_count * out_dtype.itemsize, "outlier plane data")
 
-        # Sign section: one bit per element of each non-constant block.
-        stored = widths > 0
-        sign_bits = int(sum(int(l) for l in lens[stored]))
+        # Sign section: one bit per element of each non-constant block;
+        # payload: width x length bits per block.  Both sums are exact
+        # Python ints from whole-plane counts, for any width plane.
+        sign_bits, payload_bits = layout.section_bits(widths)
         at = c.pos
         n_sign = _declared_size(c, path, "sign", findings)
         if n_sign is None:
@@ -371,24 +371,6 @@ def verify_szops_bytes(data: bytes, path: str = "<bytes>") -> list[Finding]:
         _check_section("sign", n_sign, (sign_bits + 7) // 8, at, path, findings)
         c.take(n_sign, "sign section")
 
-        # Payload section: per-block bit offsets must grow monotonically to
-        # the declared size.  Widths already validated above; compute in
-        # python ints so a hostile width plane cannot overflow the check.
-        payload_bits = 0
-        for w, l in zip(widths[stored].tolist(), lens[stored]):
-            step = int(w) * int(l)
-            next_offset = payload_bits + step
-            if next_offset < payload_bits:  # pragma: no cover - int64 only
-                findings.append(
-                    _finding(
-                        "VS007",
-                        path,
-                        c.pos,
-                        "per-block payload offsets overflow and decrease",
-                    )
-                )
-                return findings
-            payload_bits = next_offset
         at = c.pos
         n_payload = _declared_size(c, path, "payload", findings)
         if n_payload is None:
@@ -423,6 +405,8 @@ def verify_szp_payload(
     SZp payloads carry no element count; ``n_elements`` comes from the
     blob metadata (:class:`repro.baselines.base.GenericCompressed`).
     """
+    if n_elements < 0:
+        raise ValueError(f"n_elements must be non-negative, got {n_elements}")
     findings: list[Finding] = []
     c = _Cursor(payload)
     try:
@@ -464,7 +448,6 @@ def verify_szp_payload(
             return findings
 
         layout = BlockLayout(n_elements, block_size)
-        lens = layout.lengths().astype(object)
         plane_offset = c.pos
         widths = np.frombuffer(
             c.take(layout.n_blocks, "width plane"), dtype=np.uint8
@@ -473,19 +456,17 @@ def verify_szp_payload(
         if any(f.rule == "VS005" for f in findings):
             return findings
 
-        block_bits = [int(w) * int(l) for w, l in zip(widths.tolist(), lens)]
-        if word_align:
-            block_bits = [-(-b // 32) * 32 for b in block_bits]
+        align_bits = 32 if word_align else 1
         if store_lengths:
             at = c.pos
             byte_lens = np.frombuffer(
                 c.take(layout.n_blocks * 2, "length plane"), dtype="<u2"
             )
-            implied = [-(-b // 8) for b in block_bits]
-            mismatch = [
-                i for i, (a, b) in enumerate(zip(byte_lens.tolist(), implied)) if a != b
-            ]
-            for i in mismatch[:8]:
+            # Per-block sizes, built only once the plane backing them is here.
+            bits = -(-(widths * layout.lengths()) // align_bits) * align_bits
+            implied = -(-bits // 8)
+            mismatch = np.flatnonzero(byte_lens != implied)
+            for i in mismatch[:8].tolist():
                 findings.append(
                     _finding(
                         "VS006",
@@ -493,19 +474,20 @@ def verify_szp_payload(
                         at + 2 * i,
                         f"length plane says block {i} spans "
                         f"{int(byte_lens[i])} byte(s) but its width implies "
-                        f"{implied[i]}",
+                        f"{int(implied[i])}",
                         hint="the redundant length plane disagrees with the "
                         "width plane; the stream is internally inconsistent",
                     )
                 )
-            if mismatch:
+            if mismatch.size:
                 return findings
         c.take(layout.n_blocks * 4, "outlier plane")
 
+        # Constant blocks carry no payload bits, so the payload sum is the
+        # same whether or not they carry sign bits.
+        sign_bits, payload_bits = layout.section_bits(widths, align_bits)
         if full_signs:
             sign_bits = n_elements
-        else:
-            sign_bits = int(sum(int(l) for l in lens[widths > 0]))
         at = c.pos
         n_sign = _declared_size(c, path, "sign", findings)
         if n_sign is None:
@@ -513,12 +495,6 @@ def verify_szp_payload(
         _check_section("sign", n_sign, (sign_bits + 7) // 8, at, path, findings)
         c.take(n_sign, "sign section")
 
-        if full_signs:
-            payload_bits = sum(block_bits)
-        else:
-            payload_bits = sum(
-                b for b, w in zip(block_bits, widths.tolist()) if w > 0
-            )
         at = c.pos
         n_payload = _declared_size(c, path, "payload", findings)
         if n_payload is None:

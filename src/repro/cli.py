@@ -929,14 +929,20 @@ def _experiment_tables(args) -> int:
 
 def _experiment_run(args) -> int:
     import dataclasses
+    import inspect
 
-    from repro.harness.experiments import get_table, run_experiment
+    from repro.harness.experiments import PREDEFINED_TABLES, get_table, run_experiment
 
     kwargs = {}
     if args.workers is not None:
         kwargs["workers"] = _parse_workers(args.workers)
     if args.dataset is not None:
         kwargs["dataset"] = args.dataset
+    factory = PREDEFINED_TABLES.get(args.table)
+    for key in kwargs:
+        if factory is not None and key not in inspect.signature(factory).parameters:
+            print(f"error: run table {args.table!r} takes no --{key}", file=sys.stderr)
+            return 2
     table = get_table(args.table, **kwargs)
     if args.repeats is not None:
         table = dataclasses.replace(table, repeats=args.repeats)

@@ -43,6 +43,31 @@ class BlockLayout:
             lens[-1] = self.tail_length
         return lens
 
+    def section_bits(self, widths: np.ndarray, align_bits: int = 1) -> tuple[int, int]:
+        """Exact sign and payload bit counts for a width plane.
+
+        A block of width ``w > 0`` and length ``l`` stores ``l`` sign bits
+        and ``w * l`` payload bits, rounded up to ``align_bits``; a
+        constant block (``w == 0``) stores neither.  Both sums come from
+        whole-plane counts (under alignment, a bin count of the full
+        blocks' widths) folded into Python ints, so they are exact for any
+        plane of shape ``(n_blocks,)`` and any block size.
+        """
+        bs, tail = self.block_size, self.tail_length
+        full = widths[: self.n_full_blocks]
+        w_tail = int(widths[-1]) if tail else 0
+        sign = int(np.count_nonzero(full)) * bs + (tail if w_tail else 0)
+        if align_bits == 1:
+            payload = int(full.sum(dtype=np.int64)) * bs + w_tail * tail
+        else:
+            payload = sum(
+                n * -(-w * bs // align_bits) * align_bits
+                for w, n in enumerate(np.bincount(full).tolist())
+                if n
+            )
+            payload += -(-w_tail * tail // align_bits) * align_bits
+        return sign, payload
+
     def starts(self) -> np.ndarray:
         """Element index of each block's first element."""
         return np.arange(self.n_blocks, dtype=np.int64) * self.block_size

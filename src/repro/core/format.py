@@ -126,10 +126,6 @@ class SZOpsCompressed:
     def constant_fraction(self) -> float:
         return self.n_constant_blocks / max(self.n_blocks, 1)
 
-    def stored_lengths(self) -> np.ndarray:
-        """Element counts of the non-constant (stored) blocks, in order."""
-        return self.layout.lengths()[~self.constant_mask]
-
     # ------------------------------------------------------------------ sizes
 
     @property
@@ -156,13 +152,9 @@ class SZOpsCompressed:
             raise FormatError("outlier plane does not match block count")
         if self.widths.size and int(self.widths.max()) > 64:
             raise FormatError("block width exceeds 64 bits")
-        stored = self.stored_lengths()
-        sign_bits = int(stored.sum())
+        sign_bits, payload_bits = layout.section_bits(self.widths)
         if self.sign_bytes.size < (sign_bits + 7) // 8:
             raise FormatError("sign section shorter than the width plane implies")
-        payload_bits = int(
-            (self.widths[~self.constant_mask].astype(np.int64) * stored).sum()
-        )
         if self.payload_bytes.size < (payload_bits + 7) // 8:
             raise FormatError("payload section shorter than the width plane implies")
 

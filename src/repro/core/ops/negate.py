@@ -46,7 +46,7 @@ def negate(c: SZOpsCompressed) -> SZOpsCompressed:
     the fastest SZOps operation.  The result shares the width and payload
     planes with ``c``.
     """
-    n_sign_bits = int(c.stored_lengths().sum())
+    n_sign_bits, _ = c.layout.section_bits(c.widths)
     return replace(
         c,
         outliers=-c.outliers,

@@ -20,6 +20,10 @@ nonmonotonic_offsets.bin          VS007   sign-section size's top bit set,
 trailing_bytes.bin                VS008   four bytes appended past the end
 szp_bad_lengths.bin               VS006   SZp length plane disagrees with
                                           the width plane (n_elements 4096)
+huge_header.bin                   VS001   a 256-element stream whose header
+                                          declares 2**40 elements at block
+                                          size 1: the width plane it implies
+                                          is far past the end of the bytes
 ================================  ======  =================================
 """
 
@@ -38,14 +42,14 @@ EPS = 1e-3
 HERE = Path(__file__).resolve().parent
 
 
-def _base_container():
+def _base_container(n_elements: int = N_ELEMENTS):
     from repro import SZOps
 
     rng = np.random.default_rng(1234)
     data = np.cumsum(rng.standard_normal(N_ELEMENTS)).astype(np.float32)
     # Plant a constant block so width-0 handling is exercised too.
     data[256:320] = data[256]
-    return SZOps(block_size=BLOCK_SIZE).compress(data, EPS)
+    return SZOps(block_size=BLOCK_SIZE).compress(data[:n_elements], EPS)
 
 
 def _szp_payload() -> bytes:
@@ -92,6 +96,16 @@ def main() -> None:
     (old,) = struct.unpack_from("<H", szp, length_plane_at + 2 * 7)
     struct.pack_into("<H", szp, length_plane_at + 2 * 7, old + 1)
     (HERE / "szp_bad_lengths.bin").write_bytes(bytes(szp))
+
+    # A real small stream, header rewritten to declare 2**40 elements at
+    # block size 1 (the 1-D float32 header keeps the element count at byte
+    # 14 and the block size at byte 30).  A verifier that sizes anything by
+    # the header before checking the bytes behind it allocates terabytes.
+    huge = bytearray(_base_container(256).to_bytes())
+    assert huge[13] == 1 and struct.unpack_from("<QdI", huge, 14)[2] == BLOCK_SIZE
+    struct.pack_into("<Q", huge, 14, 2**40)
+    struct.pack_into("<I", huge, 30, 1)
+    (HERE / "huge_header.bin").write_bytes(bytes(huge))
 
     for name in sorted(p.name for p in HERE.glob("*.bin")):
         print(name)

@@ -3,6 +3,7 @@ corrupt-container fixtures, and the library assertion."""
 
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,33 @@ def test_every_binary_fixture_is_rejected() -> None:
         assert _errors(findings), f"{fixture.name} unexpectedly verified clean"
 
 
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes traced while it ran (NumPy included)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_huge_header_rejected_without_allocating() -> None:
+    # The header declares 2**40 elements at block size 1; nothing may be
+    # sized by that before the width plane is found missing.
+    data = (FIXTURES / "huge_header.bin").read_bytes()
+    findings, peak = _traced_peak(lambda: verify_szops_bytes(data))
+    assert [f.rule for f in findings] == ["VS001"]
+    assert peak < 2**20
+
+
+def test_szp_huge_element_count_rejected_without_allocating(signal) -> None:
+    payload = SZp().compress(signal[:256], 1e-3).payload
+    findings, peak = _traced_peak(lambda: verify_szp_payload(payload, 2**40))
+    assert [f.rule for f in findings] == ["VS001"]
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------- library assertion
 
 
@@ -111,6 +139,12 @@ def test_assert_stream_ok_raises_formaterror() -> None:
 def test_assert_stream_ok_requires_n_elements_for_szp() -> None:
     with pytest.raises(ValueError, match="n_elements"):
         assert_stream_ok(b"\x00" * 32, fmt="szp")
+
+
+def test_szp_negative_element_count_is_a_usage_error(signal) -> None:
+    payload = SZp().compress(signal[:256], 1e-3).payload
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_szp_payload(payload, -1)
 
 
 def test_verify_file_unknown_format() -> None:

@@ -105,6 +105,7 @@ class TestStructure:
         c = codec.compress(smooth_3d, 1e-4)
         assert c.n_elements == smooth_3d.size
         assert c.n_blocks == (smooth_3d.size + c.block_size - 1) // c.block_size
-        assert c.stored_lengths().sum() + (
+        sign_bits, _ = c.layout.section_bits(c.widths)
+        assert sign_bits + (
             c.layout.lengths()[c.constant_mask].sum()
         ) == smooth_3d.size

@@ -209,3 +209,19 @@ def test_bench_commands_write_a_report_only_when_asked(argv):
     from repro.cli import build_parser
 
     assert build_parser().parse_args(argv).output is None
+
+
+@pytest.mark.parametrize(
+    ("table", "flag", "value"),
+    [("perf-smoke", "--dataset", "Miranda"), ("table4", "--workers", "1,2")],
+)
+def test_experiment_run_rejects_a_flag_the_table_lacks(
+    tmp_path, capsys, table, flag, value
+):
+    from repro.cli import main
+
+    rc = main(["experiment", "run", table, flag, value, "--runs-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"run table {table!r} takes no {flag}" in err
+    assert not any(tmp_path.iterdir())  # nothing ran

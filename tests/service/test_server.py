@@ -353,6 +353,16 @@ def test_corrupt_fixture_streams_rejected(client):
     assert client.health()["status"] == "ok"
 
 
+def test_hostile_header_put_rejected_at_once(client):
+    """2**40 declared elements over 461 bytes: VS001, not a huge allocation."""
+    from pathlib import Path
+
+    fixture = Path(__file__).parent.parent / "analysis" / "fixtures" / "huge_header.bin"
+    with pytest.raises(RemoteError, match="VS001"):
+        client.put("huge", fixture.read_bytes())
+    assert client.health()["status"] == "ok"
+
+
 def test_internal_error_contained(live_server, monkeypatch, blob):
     """A bug in a kernel surfaces as ERROR, not a dead server."""
     import repro.service.server as server_mod
