@@ -15,6 +15,7 @@ every artifact it renders.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,8 @@ from repro.harness import config_from_env
 
 @pytest.fixture(scope="session")
 def bench_cfg():
-    return config_from_env(max_fields=3)
+    # Three fields per dataset unless REPRO_BENCH_FIELDS sets the count.
+    return config_from_env(max_fields=int(os.environ.get("REPRO_BENCH_FIELDS", "3")))
 
 
 @pytest.fixture(scope="session")

@@ -21,11 +21,29 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-__all__ = ["ByteWriter", "ByteReader", "StreamFormatError"]
+__all__ = ["ByteWriter", "ByteReader", "StreamFormatError", "StreamTruncated"]
 
 
 class StreamFormatError(ValueError):
     """Raised when a serialized container fails structural validation."""
+
+
+class StreamTruncated(StreamFormatError):
+    """A read needed more bytes than remain.
+
+    ``what`` names the field being read, ``needed`` is the byte count it
+    asked for and ``offset`` is where the read started, so a stream
+    verifier can report the truncation without re-deriving where it is.
+    """
+
+    def __init__(self, what: str, needed: int, offset: int, remaining: int) -> None:
+        super().__init__(
+            f"truncated stream: {what} needs {needed} bytes at offset {offset}, "
+            f"have {remaining}"
+        )
+        self.what = what
+        self.needed = needed
+        self.offset = offset
 
 
 class ByteWriter:
@@ -101,42 +119,39 @@ class ByteReader:
     def remaining(self) -> int:
         return len(self._buf) - self._pos
 
-    def _take(self, n: int) -> memoryview:
+    def _take(self, n: int, what: str) -> memoryview:
         if n < 0 or self._pos + n > len(self._buf):
-            raise StreamFormatError(
-                f"truncated stream: need {n} bytes at offset {self._pos}, "
-                f"have {self.remaining()}"
-            )
+            raise StreamTruncated(what, n, self._pos, self.remaining())
         view = self._buf[self._pos : self._pos + n]
         self._pos += n
         return view
 
-    def read_bytes(self, n: int) -> bytes:
-        return bytes(self._take(n))
+    def read_bytes(self, n: int, what: str = "section") -> bytes:
+        return bytes(self._take(n, what))
 
-    def read_u8(self) -> int:
-        return int(struct.unpack("<B", self._take(1))[0])
+    def read_u8(self, what: str = "u8") -> int:
+        return int(struct.unpack("<B", self._take(1, what))[0])
 
-    def read_u32(self) -> int:
-        return int(struct.unpack("<I", self._take(4))[0])
+    def read_u32(self, what: str = "u32") -> int:
+        return int(struct.unpack("<I", self._take(4, what))[0])
 
-    def read_u64(self) -> int:
-        return int(struct.unpack("<Q", self._take(8))[0])
+    def read_u64(self, what: str = "u64") -> int:
+        return int(struct.unpack("<Q", self._take(8, what))[0])
 
-    def read_i64(self) -> int:
-        return int(struct.unpack("<q", self._take(8))[0])
+    def read_i64(self, what: str = "i64") -> int:
+        return int(struct.unpack("<q", self._take(8, what))[0])
 
-    def read_f64(self) -> float:
-        return float(struct.unpack("<d", self._take(8))[0])
+    def read_f64(self, what: str = "f64") -> float:
+        return float(struct.unpack("<d", self._take(8, what))[0])
 
     def read_str(self) -> str:
-        n = self.read_u32()
-        return bytes(self._take(n)).decode("utf-8")
+        n = self.read_u32("string length")
+        return bytes(self._take(n, "string")).decode("utf-8")
 
     def read_array(self) -> npt.NDArray[Any]:
         dtype = np.dtype(self.read_str())
         size = self.read_u64()
-        raw = self._take(size * dtype.itemsize)
+        raw = self._take(size * dtype.itemsize, "array")
         return np.frombuffer(raw, dtype=dtype).copy()
 
     def expect_end(self) -> None:

@@ -209,11 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-batching", action="store_true", help="disable micro-batching entirely"
     )
     p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the static stream verifier on PUT (trusted peers only)",
-    )
-    p.add_argument(
         "--debug-delay-s",
         type=float,
         default=0.0,
@@ -672,7 +667,6 @@ def _cmd_serve(args) -> int:
         request_timeout_s=args.timeout,
         batch_window_s=args.window,
         batching=not args.no_batching,
-        verify_streams=not args.no_verify,
         debug_delay_s=args.debug_delay_s,
     )
 

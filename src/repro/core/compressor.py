@@ -35,7 +35,7 @@ from repro.core.encode import (
     encode_block_sections,
     encode_front,
 )
-from repro.core.format import SZOpsCompressed
+from repro.core.format import SZOpsCompressed, stream_dtype
 from repro.core.lorenzo import lorenzo_forward, lorenzo_inverse
 from repro.core.quantize import dequantize, quantize, quantize_error
 from repro.parallel import kernels
@@ -184,10 +184,17 @@ class SZOps:
         keys ``"quantize_s"`` (QZ), ``"lorenzo_s"`` (LZ and the rest of the
         encode front) and ``"encode_s"`` (BF) — the Figure 5-style breakdown
         the parallel benchmark uses to attribute backend wins.
+
+        ``data`` must be float16, float32 or float64
+        (:func:`~repro.core.format.stream_dtype`); anything else, long
+        double included, raises :class:`TypeError`.
         """
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
-            raise TypeError(f"SZOps compresses floating-point data, got {arr.dtype}")
+        if not stream_dtype(arr.dtype):
+            raise TypeError(
+                "SZOps compresses floating-point data (float16, float32 or "
+                f"float64), got {arr.dtype}"
+            )
         flat = np.ascontiguousarray(arr, dtype=arr.dtype).reshape(-1)
         if flat.size == 0:
             raise ValueError("cannot compress an empty array")

@@ -20,7 +20,15 @@ class ConfigError(SZOpsError, ValueError):
 
 
 class FormatError(SZOpsError, ValueError):
-    """Malformed or incompatible compressed container."""
+    """Malformed or incompatible compressed container.
+
+    ``rule`` is the stream rule id (``VS001``–``VS008``) the container
+    broke, when one applies; the message then starts with it.
+    """
+
+    def __init__(self, message: str, rule: str | None = None) -> None:
+        super().__init__(message)
+        self.rule = rule
 
 
 class OperationError(SZOpsError, ValueError):

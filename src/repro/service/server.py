@@ -103,8 +103,6 @@ class ServiceConfig:
     batch_window_s: float = 0.002
     batching: bool = True
     max_frame: int = protocol.DEFAULT_MAX_FRAME
-    #: Gate every PUT through the static stream verifier.
-    verify_streams: bool = True
     #: How long shutdown waits for in-flight requests to finish.
     drain_timeout_s: float = 10.0
     #: Cap on one reply write's ``drain()``: a peer that stops reading
@@ -163,9 +161,7 @@ class ServiceServer:
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         cfg = self.config
-        self.store = CompressedArrayStore(
-            byte_budget=cfg.byte_budget, verify=cfg.verify_streams
-        )
+        self.store = CompressedArrayStore(byte_budget=cfg.byte_budget)
         self.telemetry = Telemetry()
         pool_threads = cfg.pool_threads or max(2, cfg.n_workers)
         self.pool = ThreadPoolExecutor(
@@ -406,8 +402,8 @@ class ServiceServer:
 
     async def _handle_put(self, request: PutRequest) -> Reply:
         loop = asyncio.get_running_loop()
-        # Verify + parse + insert on the pool: assert_stream_ok walks the
-        # whole payload and must not stall the event loop.
+        # Parse + fingerprint + insert on the pool: both read the whole
+        # payload and must not stall the event loop.
         version = await loop.run_in_executor(
             self.pool, self.store.put, request.name, request.blob
         )

@@ -10,11 +10,11 @@ This module is the shelf those streams live on:
   immutable once stored, which is what makes the micro-batcher's
   single-flight dedup sound: two requests naming the same version are
   provably asking about the same bytes.
-* **Verified at the door** — untrusted bytes pass
-  :func:`repro.analysis.assert_stream_ok` (the static container verifier)
-  *and* a full :meth:`SZOpsCompressed.from_bytes` parse before they are
-  admitted.  A corrupt container is a clean :class:`FormatError` at PUT
-  time, never a decode surprise at OP time.
+* **Checked at the door** — untrusted bytes are admitted only if
+  :meth:`SZOpsCompressed.from_bytes` parses them.  That parse is the one
+  walk of the stream grammar that ``verify-stream`` reports from too, so a
+  corrupt container is a clean :class:`FormatError` carrying its VS rule
+  id at PUT time, never a decode surprise at OP time.
 * **Byte-budget LRU** — total retained blob bytes are bounded; the least
   recently *used* (read or written) entries are evicted first.  Evicted
   versions are remembered as tombstones so a later GET distinguishes
@@ -24,8 +24,7 @@ This module is the shelf those streams live on:
   The exclusive lock is ``self._lock`` and the class declares
   ``_GUARDED_ATTRS``, so the lock-order pass verifies the discipline
   lexically (LCK001) and sees a single acquisition level (LCK002) — the
-  expensive work (verify, parse, fingerprint) happens strictly outside
-  any lock.
+  expensive work (parse, fingerprint) happens strictly outside any lock.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.analysis.verify_stream import assert_stream_ok
 from repro.core.format import SZOpsCompressed
 
 __all__ = ["RWLock", "StoreMiss", "StoreError", "StoredEntry", "CompressedArrayStore"]
@@ -140,13 +138,11 @@ class StoredEntry:
 
 
 class CompressedArrayStore:
-    """The server-resident shelf of verified compressed streams.
+    """The server-resident shelf of parsed compressed streams.
 
     Parameters
     ----------
     byte_budget : total retained blob bytes before LRU eviction kicks in.
-    verify : run :func:`assert_stream_ok` on every admitted blob (the
-        wire-facing default; trusted in-process callers may disable it).
     """
 
     # Lock discipline (verified lexically by `repro.cli lint`'s lockcheck
@@ -154,11 +150,10 @@ class CompressedArrayStore:
     # exclusive side of the RWLock.  Shared-side readers never mutate.
     _GUARDED_ATTRS = ("_entries", "_latest", "_tombstones", "_nbytes", "_counters")
 
-    def __init__(self, byte_budget: int = 256 << 20, verify: bool = True) -> None:
+    def __init__(self, byte_budget: int = 256 << 20) -> None:
         if byte_budget <= 0:
             raise ValueError(f"byte_budget must be positive, got {byte_budget}")
         self.byte_budget = byte_budget
-        self.verify = verify
         self._lock = RWLock()
         #: (name, version) -> StoredEntry, in LRU order (oldest first).
         self._entries: OrderedDict[tuple[str, int], StoredEntry] = OrderedDict()
@@ -174,9 +169,8 @@ class CompressedArrayStore:
     def put(self, name: str, blob: bytes) -> int:
         """Admit a serialized stream as the next version of ``name``.
 
-        Verification and parsing run *outside* the lock — an expensive
-        PUT never blocks concurrent readers — and raise
-        :class:`FormatError` (via :func:`assert_stream_ok` /
+        Parsing runs *outside* the lock — an expensive PUT never blocks
+        concurrent readers — and raises :class:`FormatError` (from
         :meth:`SZOpsCompressed.from_bytes`) on damage.
         """
         if not name:
@@ -190,8 +184,6 @@ class CompressedArrayStore:
                 f"budget of {self.byte_budget}"
             )
         try:
-            if self.verify:
-                assert_stream_ok(blob)
             container = SZOpsCompressed.from_bytes(blob)
         except Exception:
             with self._lock:
@@ -303,5 +295,4 @@ class CompressedArrayStore:
                 "puts": self._counters["puts"],
                 "gets": self._counters["gets"],
                 "rejects": self._counters["rejects"],
-                "verify": self.verify,
             }

@@ -12,8 +12,11 @@ file                              rule    corruption
 ================================  ======  =================================
 truncated_payload.bin             VS001   stream cut mid-payload
 bad_magic.bin                     VS002   first five bytes overwritten
-width33.bin                       VS005   one width byte raised to 33 on a
-                                          float32 stream (cap is 32)
+width33.bin                       VS006   one width byte raised to 33 on a
+                                          float32 stream: the declared
+                                          payload is now too short
+width65.bin                       VS005   the same, raised to 65 (the cap
+                                          is 64 bits for every dtype)
 nonmonotonic_offsets.bin          VS007   sign-section size's top bit set,
                                           so the derived offset table moves
                                           backwards as signed int64
@@ -24,6 +27,12 @@ huge_header.bin                   VS001   a 256-element stream whose header
                                           declares 2**40 elements at block
                                           size 1: the width plane it implies
                                           is far past the end of the bytes
+dtype_huge_subarray.bin           VS004   dtype field rewritten to
+                                          ``(1000000000,1000000000)f8``,
+                                          which ``np.dtype`` refuses with
+                                          ValueError
+dtype_not_utf8.bin                VS004   dtype field rewritten to bytes
+                                          that are not UTF-8
 ================================  ======  =================================
 """
 
@@ -70,12 +79,13 @@ def main() -> None:
     bad_magic[0:5] = b"XXOPS"
     (HERE / "bad_magic.bin").write_bytes(bytes(bad_magic))
 
-    # Raise one *stored* block's width to 33 by editing the container, so
-    # the serialized stream is self-consistent apart from the width cap.
-    widths = c.widths.copy()
-    widths[int(np.flatnonzero(widths > 0)[3])] = 33
-    wide = replace(c, widths=widths)
-    (HERE / "width33.bin").write_bytes(wide.to_bytes())
+    # Raise one *stored* block's width by editing the container: the
+    # serialized sections keep their sizes, so the payload is now short.
+    for width in (33, 65):
+        widths = c.widths.copy()
+        widths[int(np.flatnonzero(widths > 0)[3])] = width
+        wide = replace(c, widths=widths)
+        (HERE / f"width{width}.bin").write_bytes(wide.to_bytes())
 
     # Overwrite the sign-section size (u64) with a value whose top bit is
     # set: as signed int64 it is negative, so the derived section offsets
@@ -106,6 +116,17 @@ def main() -> None:
     struct.pack_into("<Q", huge, 14, 2**40)
     struct.pack_into("<I", huge, 30, 1)
     (HERE / "huge_header.bin").write_bytes(bytes(huge))
+
+    # The dtype field (u32 length + text) sits right after magic + version.
+    dtype_at = len(b"SZOPS") + 1
+    (old_len,) = struct.unpack_from("<I", buf, dtype_at)
+    rest = buf[dtype_at + 4 + old_len :]
+    for name, field in (
+        ("dtype_huge_subarray.bin", b"(1000000000,1000000000)f8"),
+        ("dtype_not_utf8.bin", b"<f\xff\xfe"),
+    ):
+        header = buf[:dtype_at] + struct.pack("<I", len(field)) + field
+        (HERE / name).write_bytes(header + rest)
 
     for name in sorted(p.name for p in HERE.glob("*.bin")):
         print(name)

@@ -21,6 +21,7 @@ import hashlib
 import json
 import struct
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ from hypothesis import strategies as st
 
 from repro import SZOps
 from repro.analysis import verify_szops_bytes, verify_szp_payload
-from repro.analysis.findings import Finding
+from repro.analysis.findings import Finding, Severity
 from repro.baselines.szp import SZp
 from repro.core.blocks import BlockLayout
+from repro.core.errors import FormatError
+from repro.core.format import SZOpsCompressed
 
 SZP_FLAGS = list(product((False, True), repeat=3))  # lengths, full signs, align
 
@@ -232,9 +235,11 @@ def test_szp_verifier_sizes_match_reference(flags, plane, d_sign, d_payload,
 # ----------------------------------------------------- pinned mutation corpus
 
 #: sha256 of the findings over ``mutation_corpus()``, recorded from the
-#: per-block verifier.  A change here means a verdict, offset or message
-#: moved for some corrupt stream.
-CORPUS_DIGEST = "59c16ac1c2fc60c0d03f65140af6b2ddf4cbf73ec9c86c38f82c4df896270d9e"
+#: per-block verifier and re-recorded once when the SZOps width cap became
+#: 64 bits for every dtype (one float32 case's VS005 findings moved).  A
+#: change here means a verdict, offset or message moved for some corrupt
+#: stream.
+CORPUS_DIGEST = "84742682949a6bfcaad01b69c96495091e5518273c5d7a30e55d99689dd4fcba"
 
 
 def _signal(n: int, seed: int) -> np.ndarray:
@@ -371,6 +376,30 @@ def test_mutation_corpus_findings_pinned() -> None:
     rules = {f[0] for case in findings for f in case}
     assert {"VS001", "VS004", "VS005", "VS006", "VS007", "VS008"} <= rules
     assert corpus_digest() == CORPUS_DIGEST
+
+
+def test_from_bytes_agrees_with_verifier() -> None:
+    """``from_bytes`` parses exactly the streams that verify without error.
+
+    On a refusal, its :class:`FormatError` carries the verifier's first
+    error rule.  Over the SZOps mutation corpus and every binary fixture.
+    """
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*.bin"))
+    streams = [data for fmt, data, _ in mutation_corpus() if fmt == "szops"]
+    streams += [path.read_bytes() for path in fixtures]
+    refused = 0
+    for data in streams:
+        errors = [f.rule for f in verify_szops_bytes(data)
+                  if f.severity is Severity.ERROR]
+        try:
+            SZOpsCompressed.from_bytes(data)
+        except FormatError as exc:
+            refused += 1
+            assert errors and exc.rule == errors[0]
+            assert str(exc).startswith(f"{exc.rule} ")
+        else:
+            assert errors == []
+    assert 50 < refused < len(streams)
 
 
 if __name__ == "__main__":

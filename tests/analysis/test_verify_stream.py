@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
-from repro import SZOps
+from repro import SZOps, lazy, ops
 from repro.analysis import (
     assert_stream_ok,
     verify_file,
@@ -18,7 +20,9 @@ from repro.analysis import (
 )
 from repro.analysis.findings import Severity
 from repro.baselines.szp import SZp
-from repro.core.errors import FormatError
+from repro.core.errors import FormatError, OperationError
+from repro.core.format import SZOpsCompressed
+from repro.service.store import CompressedArrayStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
 N_FIXTURE_ELEMENTS = 4096  # geometry baked into make_fixtures.py
@@ -37,7 +41,7 @@ def signal() -> np.ndarray:
 # --------------------------------------------------------------- clean passes
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
 def test_szops_stream_verifies_clean(signal: np.ndarray, dtype) -> None:
     buf = SZOps().compress(signal.astype(dtype), 1e-3).to_bytes()
     assert _errors(verify_szops_bytes(buf)) == set()
@@ -67,7 +71,10 @@ def test_ablated_szp_payload_verifies_clean(signal: np.ndarray) -> None:
     ("fixture", "rule"),
     [
         ("truncated_payload.bin", "VS001"),
-        ("width33.bin", "VS005"),
+        ("dtype_huge_subarray.bin", "VS004"),
+        ("dtype_not_utf8.bin", "VS004"),
+        ("width65.bin", "VS005"),
+        ("width33.bin", "VS006"),
         ("nonmonotonic_offsets.bin", "VS007"),
         ("trailing_bytes.bin", "VS008"),
     ],
@@ -118,6 +125,17 @@ def test_huge_header_rejected_without_allocating() -> None:
     findings, peak = _traced_peak(lambda: verify_szops_bytes(data))
     assert [f.rule for f in findings] == ["VS001"]
     assert peak < 2**20
+    store = CompressedArrayStore()
+    for admit in (SZOpsCompressed.from_bytes, lambda b: store.put("U", b)):
+
+        def refused() -> str | None:
+            with pytest.raises(FormatError) as excinfo:
+                admit(data)
+            return excinfo.value.rule
+
+        rule, peak = _traced_peak(refused)
+        assert rule == "VS001"
+        assert peak < 2**20
 
 
 def test_szp_huge_element_count_rejected_without_allocating(signal) -> None:
@@ -125,6 +143,53 @@ def test_szp_huge_element_count_rejected_without_allocating(signal) -> None:
     findings, peak = _traced_peak(lambda: verify_szp_payload(payload, 2**40))
     assert [f.rule for f in findings] == ["VS001"]
     assert peak < 2**20
+
+
+# ------------------------------------------ what the codec and ops write
+
+
+@st.composite
+def written_streams(draw) -> SZOpsCompressed:
+    """A stream ``compress``, one scalar op or a lazy chain produces.
+
+    Magnitudes reach 1e30 (float64; float16/float32 up to their range),
+    and the bound reaches down to 17 decades below the data and to the
+    smallest bound :func:`repro.core.config.valid_eps` accepts.
+    """
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+    info = np.finfo(dtype)
+    top = min(30.0, np.log10(info.max) - 1)
+    log_scale = draw(st.floats(np.log10(info.tiny), top))
+    digits = draw(st.floats(0, 17))
+    eps = max(10.0 ** (log_scale - digits), 5e-324)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = 10.0**log_scale * rng.standard_normal(draw(st.integers(1, 700)))
+    try:
+        c = SZOps().compress(data.astype(dtype), eps)
+    except ValueError:  # the data quantize past the int64 range at this bound
+        reject()
+    names = ["negation", "scalar_add", "scalar_subtract", "scalar_multiply"]
+    step = st.tuples(st.sampled_from(names), st.floats(-1e10, 1e10))
+    steps = draw(st.lists(step, max_size=3))
+    try:
+        if draw(st.booleans()) and len(steps) == 1:
+            name, scalar = steps[0]
+            out = ops.apply_operation(c, name, None if name == "negation" else scalar)
+        else:
+            chain = lazy(c)
+            for name, scalar in steps:
+                chain = chain.apply(name, None if name == "negation" else scalar)
+            out = chain.materialize()
+    except OperationError:  # an op whose result leaves the quantized range
+        reject()
+    return out
+
+
+@given(written_streams())
+def test_every_written_stream_is_admitted(c: SZOpsCompressed) -> None:
+    blob = c.to_bytes()
+    assert _errors(verify_szops_bytes(blob)) == set()
+    assert CompressedArrayStore().put("U", blob) == 1
 
 
 # ---------------------------------------------------------- library assertion

@@ -66,13 +66,17 @@ class TestPlacement:
             LazyStream(result).decompress().reshape(-1), expected.reshape(-1)
         )
 
-    def test_op_with_result_name_stores_chunked(self, cluster_factory, compressed):
+    # x1e10 writes blocks wider than 32 bits, which every owner must admit.
+    @pytest.mark.parametrize("scalar", [2.0, 1e10])
+    def test_op_with_result_name_stores_chunked(
+        self, cluster_factory, compressed, scalar
+    ):
         router, _handles = cluster_factory(n_nodes=3, replicas=2)
         router.put("U", compressed, chunks=5)
-        n = router.op("U", [("scalar_multiply", 2.0)], result_name="V")
+        n = router.op("U", [("scalar_multiply", scalar)], result_name="V")
         assert n == 5
         got = LazyStream(router.get_container("V")).decompress().reshape(-1)
-        want = LazyStream(compressed).apply("scalar_multiply", 2.0).decompress()
+        want = LazyStream(compressed).apply("scalar_multiply", scalar).decompress()
         np.testing.assert_array_equal(got, want.reshape(-1))
 
 

@@ -102,6 +102,13 @@ class TestValidation:
         with pytest.raises(TypeError, match="floating-point"):
             codec.compress(np.arange(10), 1e-3)
 
+    def test_longdouble_rejected(self, codec):
+        # Its width and layout depend on the platform: no portable stream.
+        if np.dtype(np.longdouble).itemsize == 8:
+            pytest.skip("long double is float64 on this platform")
+        with pytest.raises(TypeError, match="float16, float32 or float64"):
+            codec.compress(np.ones(10, dtype=np.longdouble), 1e-3)
+
     def test_empty_input_rejected(self, codec):
         with pytest.raises(ValueError, match="empty"):
             codec.compress(np.zeros(0, dtype=np.float32), 1e-3)

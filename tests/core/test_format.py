@@ -19,6 +19,12 @@ def container(codec, smooth_3d):
     return codec.compress(smooth_3d, 1e-4)
 
 
+def _with_string(buf: bytes, at: int, text: bytes) -> bytes:
+    """``buf`` with the u32-length-prefixed string at ``at`` replaced."""
+    (old,) = struct.unpack_from("<I", buf, at)
+    return buf[:at] + struct.pack("<I", len(text)) + text + buf[at + 4 + old :]
+
+
 class TestSerialization:
     def test_roundtrip_identical(self, codec, container):
         buf = container.to_bytes()
@@ -61,8 +67,39 @@ class TestSerialization:
 
     def test_truncation_detected(self, container):
         buf = container.to_bytes()
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError, match="^VS001 ") as excinfo:
             SZOpsCompressed.from_bytes(buf[: len(buf) // 2])
+        assert excinfo.value.rule == "VS001"
+
+    @pytest.mark.parametrize(
+        "field",
+        [b"<i4", b"|b1", b"<c16", b"<f16", b"<f\xff", b"(1000000000,1000000000)f8"],
+    )
+    def test_dtype_field_must_be_a_stream_float(self, container, field):
+        doctored = _with_string(container.to_bytes(), len(MAGIC) + 1, field)
+        with pytest.raises(FormatError, match="^VS004 ") as excinfo:
+            SZOpsCompressed.from_bytes(doctored)
+        assert excinfo.value.rule == "VS004"
+
+    @pytest.mark.parametrize("kind", [b"u", b"f"])
+    def test_outlier_plane_must_be_signed_integer(self, container, kind):
+        buf = container.to_bytes()
+        dtype = container.dtype.str.encode()
+        at = len(MAGIC) + 1 + 4 + len(dtype) + 1 + 8 * len(container.shape) + 12
+        at += container.n_blocks
+        (n,) = struct.unpack_from("<I", buf, at)
+        field = buf[at + 4 : at + 4 + n]
+        assert field[1:2] == b"i"
+        doctored = _with_string(buf, at, field[:1] + kind + field[2:])
+        with pytest.raises(FormatError, match="^VS004 outlier plane dtype"):
+            SZOpsCompressed.from_bytes(doctored)
+
+    @pytest.mark.parametrize("dtype", ["<f2", ">f2", ">f4", "<f8", ">f8"])
+    def test_every_stream_float_roundtrips(self, codec, smooth_3d, dtype):
+        c = codec.compress(smooth_3d.astype(dtype), 1e-2)
+        parsed = SZOpsCompressed.from_bytes(c.to_bytes())
+        assert parsed.dtype == np.dtype(dtype)
+        assert np.array_equal(codec.decompress(parsed), codec.decompress(c))
 
     def test_outlier_narrowing(self, codec, rng):
         # small quantized values -> int16 plane; huge -> wider

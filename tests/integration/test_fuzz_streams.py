@@ -10,10 +10,16 @@ failure from deep inside the kernels.
 
 from __future__ import annotations
 
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import SZOps, ops
+from repro.core.errors import FormatError
 from repro.core.format import SZOpsCompressed
 
 ACCEPTABLE = (ValueError, OverflowError, MemoryError)
@@ -100,3 +106,31 @@ class TestHeaderSanity:
         giant[idx : idx + 8] = struct.pack("<Q", 2**63 - 1)
         with pytest.raises(ACCEPTABLE):
             try_full_pipeline(codec, bytes(giant))
+
+    @given(
+        dtype_field=st.none() | st.binary(max_size=40),
+        edits=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), max_size=6),
+        cut=st.none() | st.integers(0, 80),
+    )
+    def test_hostile_header_is_a_format_error(
+        self, stream_bytes, dtype_field, edits, cut
+    ):
+        """Header damage is refused as a FormatError naming its VS rule.
+
+        Never a bare ValueError, UnicodeDecodeError or truncation error
+        from the byte reader.
+        """
+        _, buf = stream_bytes
+        mutated = bytearray(buf)
+        if dtype_field is not None:  # the u32-prefixed dtype string at byte 6
+            (n,) = struct.unpack_from("<I", mutated, 6)
+            mutated[6 : 10 + n] = struct.pack("<I", len(dtype_field)) + dtype_field
+        for pos, value in edits:
+            mutated[pos] = value
+        if cut is not None:
+            del mutated[cut:]
+        try:
+            SZOpsCompressed.from_bytes(bytes(mutated))
+        except FormatError as exc:
+            assert exc.rule is not None and re.fullmatch("VS00[1-8]", exc.rule)
+            assert str(exc).startswith(exc.rule + " ")

@@ -110,13 +110,6 @@ def test_oversized_blob_rejected(blob):
         store.put("U", blob)
 
 
-def test_verify_disabled_still_parses(blob):
-    store = make_store(verify=False)
-    store.put("U", blob)
-    with pytest.raises(Exception):  # from_bytes still gates garbage
-        store.put("bad", b"garbage")
-
-
 # ---------------------------------------------------------------------------
 # byte-budget LRU
 # ---------------------------------------------------------------------------
