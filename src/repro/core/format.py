@@ -28,6 +28,8 @@ section rules to a container built in memory.
 Containers are immutable: every plane is read-only from construction on,
 so an operation's result shares the planes it does not change with its
 input, and the content digest is computed at most once per container.
+A container also carries its exact quantized moments once a reduction
+has read them; :mod:`repro.runtime.cache` governs when they are valid.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.bitstream import ByteReader, ByteWriter, StreamTruncated
 from repro.core.blocks import BlockLayout
 from repro.core.config import valid_eps
 from repro.core.errors import FormatError
+from repro.core.moments import QuantizedMoments
 
 __all__ = [
     "SZOpsCompressed",
@@ -154,6 +157,11 @@ class SZOpsCompressed:
     sign_bytes: np.ndarray
     payload_bytes: np.ndarray
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
+    #: ``(cache token, moments)``, written and read only by
+    #: :meth:`repro.runtime.cache.DecodedBlockCache.get_moments`.
+    _moments_memo: tuple[object, QuantizedMoments] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for name in _PLANES:

@@ -32,6 +32,7 @@ __all__ = [
     "Q_LIMIT",
     "StoredBlocks",
     "stored_quantized",
+    "stored_moments",
     "decode_stored_blocks",
     "ensure_quantized_range",
     "range_overflow",
@@ -67,9 +68,9 @@ class StoredBlocks:
     def moments(self) -> QuantizedMoments:
         """Exact moments of this view, computed once per decoded view.
 
-        The decoded-block cache hands the same view to every operation on
-        a stream, so the first reduction pays for the sums and every later
-        one (min, max, mean, variance, PREDUCE) reads them back.
+        :func:`stored_moments` memoises them on the container as well; the
+        view keeps its own copy for equal-content containers, which share
+        one cached view but not a memo.
         """
         return QuantizedMoments.of(self)
 
@@ -100,6 +101,22 @@ def stored_quantized(c: SZOpsCompressed) -> StoredBlocks:
     if cache is None:
         return decode_stored_blocks(c)
     return cache.get_blocks(c)
+
+
+def stored_moments(c: SZOpsCompressed) -> QuantizedMoments:
+    """Exact moments of ``c``: what every whole-stream reduction reads.
+
+    With an active cache they are memoised on ``c`` itself
+    (:meth:`~repro.runtime.cache.DecodedBlockCache.get_moments`), so they
+    outlive ``c``'s decoded bins; with the cache disabled every call
+    decodes.
+    """
+    from repro.runtime.cache import active_cache
+
+    cache = active_cache()
+    if cache is None:
+        return decode_stored_blocks(c).moments
+    return cache.get_moments(c)
 
 
 def decode_stored_blocks(c: SZOpsCompressed) -> StoredBlocks:
@@ -165,23 +182,32 @@ class IntAffine:
     shift: int
 
     def apply(
-        self, q: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+        self,
+        q: np.ndarray,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+        bounds: tuple[int, int] | None = None,
     ) -> np.ndarray:
         """``sigma*q + shift`` into ``out`` (a new array when ``None``).
 
         The shift_outliers guard: a fused chain can accumulate a shift the
         eager path would have rejected step by step.  ``|sigma*q|`` is
-        ``|q|``, so the guard reads ``q`` itself; an empty plane is
-        returned as is, unguarded.
+        ``|q|``, so the guard reads ``q``'s ``(min, max)``, or ``bounds``
+        when the caller already knows them; an empty plane is returned as
+        is, unguarded.
         """
         if not q.size:
             return q
-        peak = max(int(q.max()), -int(q.min())) + abs(int(self.shift))
-        if peak >= int(Q_LIMIT):
+        shift = int(self.shift)
+        lo, hi = bounds if bounds is not None else (int(q.min()), int(q.max()))
+        # max(hi, -lo) >= 0, so the first arm restates part of the second;
+        # it is what lets the range analysis (SZL101) bound ``q + shift``
+        # when the bounds come from the caller rather than from ``q``.
+        if abs(shift) >= int(Q_LIMIT) or max(hi, -lo) + abs(shift) >= int(Q_LIMIT):
             raise range_overflow(_FUSED_SHIFT)
         if self.sigma < 0:
-            return np.subtract(self.shift, q, out=out)
-        return np.add(q, self.shift, out=out)
+            return np.subtract(shift, q, out=out)
+        return np.add(q, shift, out=out)
 
     def apply_moments(self, m: QuantizedMoments) -> QuantizedMoments:
         """Exact moments of ``sigma*q + shift`` from those of ``q``.
@@ -220,19 +246,33 @@ class Requantize:
         float64 to infinity, and a NaN from ``0 * inf`` — all reported as
         the documented :class:`OperationError`.
         """
+        return self.apply_bounded(q, out, scratch)[0]
+
+    def apply_bounded(
+        self, q: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> tuple[np.ndarray, tuple[int, int] | None]:
+        """:meth:`apply`, plus the result's ``(min, max)`` its guard read.
+
+        The bounds are ``None`` for an empty plane.
+        """
         # The guard below reports overflow and NaN products.
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = np.multiply(q, self.s_rep, out=scratch, dtype=np.float64)
         np.rint(scaled, out=scaled)
-        limit = float(Q_LIMIT)
-        # max/min propagate NaN and NaN fails both comparisons, so this one
-        # guard rejects NaN, +-inf and every finite |x| >= Q_LIMIT.
-        if scaled.size and not (scaled.max() < limit and scaled.min() > -limit):
-            raise range_overflow("scalar multiplication")
+        bounds: tuple[int, int] | None = None
+        if scaled.size:
+            limit = float(Q_LIMIT)
+            hi, lo = scaled.max(), scaled.min()
+            # max/min propagate NaN and NaN fails both comparisons, so this
+            # one guard rejects NaN, +-inf and every finite |x| >= Q_LIMIT.
+            if not (hi < limit and lo > -limit):
+                raise range_overflow("scalar multiplication")
+            # Integral and below 2^62, so exactly the int64 bins' extremes.
+            bounds = (int(lo), int(hi))
         if out is None:
-            return scaled.astype(np.int64)
+            return scaled.astype(np.int64), bounds
         np.copyto(out, scaled, casting="unsafe")
-        return out
+        return out, bounds
 
 
 Step = IntAffine | Requantize
@@ -253,7 +293,8 @@ class _TileSteps:
 
     The first call sizes the buffers (the encode front's first tile is
     its largest); each step reads the previous one's result and writes
-    the int64 buffer, a multiply through the float64 one.
+    the int64 buffer, a multiply through the float64 one.  A shift after
+    a multiply guards with the tile bounds the multiply's guard read.
     """
 
     def __init__(self, steps: tuple[Step, ...]) -> None:
@@ -267,8 +308,12 @@ class _TileSteps:
             self.ints = np.empty(n, dtype=np.int64)
             self.floats = np.empty(n, dtype=np.float64)
         out, scratch = self.ints[:n], self.floats[:n]
+        bounds: tuple[int, int] | None = None
         for step in self.steps:
-            q = step.apply(q, out, scratch)
+            if isinstance(step, Requantize):
+                q, bounds = step.apply_bounded(q, out, scratch)
+            else:
+                q, bounds = step.apply(q, out, scratch, bounds), None
         return q
 
 

@@ -35,6 +35,7 @@ from repro.core.ops._partial import (
     StoredBlocks,
     ensure_quantized_range,
     rebuild_stored,
+    stored_moments,
     stored_quantized,
 )
 
@@ -127,8 +128,8 @@ def _combined_sq_sum(a: SZOpsCompressed, b: SZOpsCompressed, sign: int) -> int:
 def _cross_sum(a: SZOpsCompressed, b: SZOpsCompressed) -> tuple[int, int, int]:
     """``(Σq_a·q_b, Σq_a², Σq_b²)`` as exact ints, via ``(a+b)² = a² + 2ab + b²``."""
     s_plus = _combined_sq_sum(a, b, +1)
-    s_aa = stored_quantized(a).moments.s2
-    s_bb = stored_quantized(b).moments.s2
+    s_aa = stored_moments(a).s2
+    s_bb = stored_moments(b).s2
     return (s_plus - s_aa - s_bb) // 2, s_aa, s_bb
 
 

@@ -14,8 +14,14 @@ are the statistics of the *fully decompressed* array ``2*eps*q`` computed
 exactly, and therefore within the usual error-propagation distance of the
 raw data's statistics: ``|mean_c - mean_raw| <= eps`` and
 ``|std_c - std_raw| <= 2*eps`` style bounds follow directly from the
-pointwise bound.  The moments are memoised on the decoded view, so a second
-reduction of the same stream costs only the final scaling.
+pointwise bound.
+
+Every reduction here reads its moments through
+:func:`~repro.core.ops._partial.stored_moments`, which memoises them on
+the container for its lifetime: a second reduction of the same stream
+costs only the final scaling, even after the decoded-block cache evicted
+its bins.  :func:`~repro.runtime.clear_cache` invalidates the memo, and
+under :func:`~repro.runtime.cache_disabled` every call decodes.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from repro.bitstream import exclusive_cumsum
 from repro.core.format import SZOpsCompressed
-from repro.core.ops._partial import stored_quantized
+from repro.core.ops._partial import stored_moments, stored_quantized
 
 __all__ = [
     "mean",
@@ -56,7 +62,7 @@ _F64_EXACT = 1 << 53
 
 
 def _finish(c: SZOpsCompressed, reduction: str, ddof: int = 0) -> float:
-    return stored_quantized(c).moments.finish(reduction, c.eps, ddof)
+    return stored_moments(c).finish(reduction, c.eps, ddof)
 
 
 def mean(c: SZOpsCompressed) -> float:
@@ -113,7 +119,7 @@ def _exact_block_means(q: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 def summary_statistics(c: SZOpsCompressed, ddof: int = 0) -> dict[str, float]:
     """Mean, variance and standard deviation from one set of moments."""
-    return stored_quantized(c).moments.summary(c.eps, ddof)
+    return stored_moments(c).summary(c.eps, ddof)
 
 
 def minimum(c: SZOpsCompressed) -> float:

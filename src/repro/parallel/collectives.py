@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.compressor import SZOps
 from repro.core.format import SZOpsCompressed
-from repro.core.ops._partial import stored_quantized
+from repro.core.ops._partial import stored_moments
 from repro.core.moments import QuantizedMoments
 from repro.parallel.simmpi import SimComm
 
@@ -42,7 +42,7 @@ EpsMoments = dict[float, QuantizedMoments]
 
 
 def _local_moments(c: SZOpsCompressed) -> EpsMoments:
-    return {c.eps: stored_quantized(c).moments}
+    return {c.eps: stored_moments(c)}
 
 
 def _merge(a: EpsMoments, b: EpsMoments) -> EpsMoments:

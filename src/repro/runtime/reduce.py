@@ -7,8 +7,10 @@ module runs it as :meth:`~repro.parallel.backends.ExecutionBackend.run_kernel`
 chunks on an execution backend (:mod:`repro.parallel.backends`), one
 moments partial per chunk, while the constant blocks (the Table V fast
 path) stay in closed form: they are O(n_blocks) and not worth
-distributing.  With no backend (``executor=None``) the view's memoised
-serial moments are used.
+distributing.  With no backend (``executor=None``) a stream's reduction
+reads the moments :func:`~repro.core.ops._partial.stored_moments`
+memoises on the container, exactly as :mod:`repro.core.ops.reductions`
+does; with a backend every call sums its chunks afresh.
 
 Exactness: the partials are exact integers and combine by exact integer
 addition, so every reduction here equals its serial counterpart bit for
@@ -16,14 +18,16 @@ bit on every backend and for every worker count.
 
 The decoded blocks come through :func:`stored_quantized`, i.e. the decoded
 -block cache: a parallel reduction after any other operation on the same
-stream skips the decode entirely.
+stream skips the decode entirely.  :func:`~repro.runtime.clear_cache` and
+:func:`~repro.runtime.cache_disabled` govern the moments memo as they do
+the bins.
 """
 
 from __future__ import annotations
 
 from repro.core.format import SZOpsCompressed
 from repro.core.moments import QuantizedMoments
-from repro.core.ops._partial import StoredBlocks, stored_quantized
+from repro.core.ops._partial import StoredBlocks, stored_moments, stored_quantized
 from repro.parallel import kernels
 from repro.parallel.backends import ExecutionBackend
 from repro.parallel.partition import even_ranges
@@ -59,14 +63,21 @@ def chunked_moments(
     return QuantizedMoments.combine(run.results) + const
 
 
+def _stream_moments(
+    c: SZOpsCompressed, executor: ExecutionBackend | None
+) -> QuantizedMoments:
+    if executor is None:
+        return stored_moments(c)
+    return chunked_moments(stored_quantized(c), executor)
+
+
 def _parallel(
     c: SZOpsCompressed,
     executor: ExecutionBackend | None,
     reduction: str,
     ddof: int = 0,
 ) -> float:
-    moments = chunked_moments(stored_quantized(c), executor)
-    return moments.finish(reduction, c.eps, ddof)
+    return _stream_moments(c, executor).finish(reduction, c.eps, ddof)
 
 
 def parallel_mean(c: SZOpsCompressed, executor: ExecutionBackend | None) -> float:
@@ -92,7 +103,7 @@ def parallel_summary_statistics(
     c: SZOpsCompressed, executor: ExecutionBackend | None, ddof: int = 0
 ) -> dict[str, float]:
     """Mean/variance/std from one chunked moments pass."""
-    return chunked_moments(stored_quantized(c), executor).summary(c.eps, ddof)
+    return _stream_moments(c, executor).summary(c.eps, ddof)
 
 
 def parallel_minimum(c: SZOpsCompressed, executor: ExecutionBackend | None) -> float:

@@ -71,6 +71,74 @@ class TestRepeats:
             assert m["mean_seconds"] == min(m["mean_seconds_reps"])
 
 
+class TestColdColumnsDecode:
+    """Columns that time a cold kernel decode on every timed repeat.
+
+    The decoded-block cache memoises a stream's moments on the container,
+    so a reduction timed without ``cache_disabled()`` or a cache clear
+    before each repeat would read five ints back instead of decoding.
+    """
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Each decode, tagged with whether the cache was enabled."""
+        from repro.core.ops import _partial
+        from repro.runtime import active_cache
+        from repro.runtime import cache as cache_module
+
+        real = _partial.decode_stored_blocks
+        calls: list[bool] = []
+
+        def counted(c):
+            calls.append(active_cache() is not None)
+            return real(c)
+
+        monkeypatch.setattr(cache_module, "decode_stored_blocks", counted)
+        monkeypatch.setattr(_partial, "decode_stored_blocks", counted)
+        return calls
+
+    def test_figure6_cold_kernel(self, decodes, monkeypatch):
+        import repro.workflow
+
+        traditional = []
+        real = repro.workflow.run_traditional
+
+        def counted(*args):
+            traditional.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(repro.workflow, "run_traditional", counted)
+        table = get_table("ops-matrix", datasets=("Miranda",))
+        cell = next(c for c in table.expand() if c.factors["op"] == "variance")
+        cfg = BenchConfig(scale=0.2, max_fields=2, repeats=3)
+        m = execute_cell(cell, table, cfg, ExecutionContext(cfg))
+        assert m["repeats"] == 3
+        # cold: one decode per field and repeat; warm: the first prime only
+        assert decodes.count(False) == 3 * 2
+        assert decodes.count(True) == 2
+        # one untimed warm-up before the timed repeats
+        assert len(traditional) == 3 * 2 + 1
+
+    def test_plateau_sweep(self, decodes):
+        table = get_table("ablation-constant-blocks")
+        cfg = BenchConfig(repeats=4)
+        m = execute_cell(table.expand()[-1], table, cfg, ExecutionContext(cfg))
+        assert m["repeats"] == 4
+        assert decodes == [False] * 4
+
+    def test_runtime_fusion_cached_column(self, decodes):
+        table = get_table("runtime-fusion")
+        cfg = BenchConfig(scale=0.2, repeats=3)
+        m = execute_cell(table.expand()[0], table, cfg, ExecutionContext(cfg))
+        reps = m["repeats"]
+        assert m["identical_results"]
+        # cache off: eager (multiply + mean) per repeat, plus the breakdown
+        assert decodes.count(False) == 2 * reps + 2
+        # cache on, cleared before each repeat: eager+cache decodes twice,
+        # fused cold once; fused warm reads the cached view
+        assert decodes.count(True) == 2 * reps + reps
+
+
 class TestRendering:
     def test_render_table_markdown(self):
         text = render_table(["x", "y"], [[1, 2.5], ["a", 0.000123]], title="T")
