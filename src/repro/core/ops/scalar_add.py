@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
 from repro.core.ops._partial import ensure_quantized_range
 from repro.core.quantize import dequantize_scalar, quantize_scalar
@@ -47,8 +48,18 @@ ERROR_PROPAGATION = {
 
 
 def quantized_scalar_shift(s: float, eps: float) -> tuple[int, float]:
-    """Quantize the scalar operand; returns (bin index, representative value)."""
-    rho = quantize_scalar(s, eps)
+    """Quantize the scalar operand; returns (bin index, representative value).
+
+    A scalar that is not finite, or whose bin index overflows float64 at
+    ``eps``, raises :class:`OperationError`, the same error every scalar
+    op (add, subtract, multiply; eager or lazy) reports for it.
+    """
+    try:
+        rho = quantize_scalar(s, eps)
+    except (OverflowError, ValueError) as exc:
+        raise OperationError(
+            f"scalar {s!r} cannot be quantized at eps {eps!r}: {exc}"
+        ) from None
     return rho, dequantize_scalar(rho, eps)
 
 

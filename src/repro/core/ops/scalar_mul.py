@@ -23,7 +23,6 @@ paper's scheme.
 
 from __future__ import annotations
 
-from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
 from repro.core.ops._partial import Requantize, rebuild_stored, stored_quantized
 from repro.core.ops.scalar_add import quantized_scalar_shift
@@ -58,9 +57,4 @@ def scalar_multiply(c: SZOpsCompressed, s: float) -> SZOpsCompressed:
 
 def quantized_factor(s: float, eps: float) -> float:
     """The representative ``2·eps·ρ_s`` a multiplication by ``s`` applies."""
-    try:
-        return quantized_scalar_shift(s, eps)[1]
-    except (OverflowError, ValueError) as exc:
-        raise OperationError(
-            f"scalar {s!r} cannot be quantized at eps {eps!r}: {exc}"
-        ) from None
+    return quantized_scalar_shift(s, eps)[1]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SZOps, ops
+from repro.core.errors import OperationError
 from repro.core.ops.scalar_add import quantized_scalar_shift
 
 
@@ -54,6 +55,16 @@ class TestScalarAdd:
         c = codec.compress(smooth_1d, 1e-3)
         with pytest.raises(ValueError):
             ops.scalar_add(c, float("nan"))
+
+    @pytest.mark.parametrize("op", [ops.scalar_add, ops.scalar_subtract])
+    def test_unquantizable_scalar_is_an_operation_error(self, codec, op):
+        # the scalar's bin index overflows float64 at this bound; add and
+        # subtract report it as multiply does, never as a bare ValueError
+        c = codec.compress(np.zeros(64), 1e-301)
+        before = c.to_bytes()
+        with pytest.raises(OperationError, match="cannot be quantized"):
+            op(c, 35953863.0)
+        assert c.to_bytes() == before
 
 
 class TestScalarSubtract:

@@ -190,6 +190,12 @@ class TestErrors:
         with pytest.raises(OperationError, match="cannot be quantized"):
             lazy(stream).scalar_multiply(float("inf"))
 
+    @pytest.mark.parametrize("name", ["scalar_add", "scalar_subtract"])
+    def test_unquantizable_shift_at_call(self, codec, name):
+        c = codec.compress(np.zeros(64), 1e-301)
+        with pytest.raises(OperationError, match="cannot be quantized"):
+            getattr(lazy(c), name)(35953863.0)
+
     def test_multiply_overflow_surfaces_at_forcing(self, stream):
         chain = lazy(stream).scalar_multiply(1e18)  # building is fine
         with pytest.raises(OperationError, match="overflows"):
