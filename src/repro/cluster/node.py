@@ -13,7 +13,11 @@ three additions layered on the ``_dispatch_extra`` hook:
   of the array this node stores.  No ``2*eps`` scaling
   happens here; the router applies it once after combining, exactly as
   ``runtime.lazy`` would have, which is what keeps distributed results
-  bit-identical to single-node ones.
+  bit-identical to single-node ones.  When the shard's moments are
+  already memoised (every PREDUCE after the first on a stream, unless a
+  multiply is in the chain) the event loop answers with a field read,
+  exactly like a single-node REDUCE; otherwise the kernel pool computes
+  them.
 * **PING** — a cheap liveness probe answering epoch + load, the signal
   the membership monitor consumes.
 
@@ -38,7 +42,7 @@ from typing import Any, Iterator
 
 from repro.cluster.hashring import NodeInfo, ShardMap
 from repro.cluster.router import ClusterClient
-from repro.runtime.lazy import LazyStream
+from repro.core.moments import QuantizedMoments
 from repro.service.protocol import (
     BodyKind,
     Moments,
@@ -54,6 +58,7 @@ from repro.service.server import (
     ServiceConfig,
     ServiceServer,
     ThreadedServer,
+    _fuse,
     _validate_pointwise,
 )
 
@@ -142,20 +147,24 @@ class ClusterNode(ServiceServer):
         if request.steps:
             _validate_pointwise(request.steps)
         entry = self.store.get(request.name, request.version)
-        delay = self.config.debug_delay_s
         self.telemetry.increment_keyed("preduce_arrays", request.name)
+        chain = _fuse(entry.container, request.steps)
+        moments = self._memo_moments(chain)
+        if moments is None:
+            delay = self.config.debug_delay_s
 
-        def compute() -> Moments:
-            if delay:
-                time.sleep(delay)
-            chain = LazyStream(entry.container)
-            for name, scalar in (s.as_pair() for s in request.steps):
-                chain = chain.apply(name, scalar)
-            return Moments(chain.quantized_moments(), entry.container.eps)
+            def compute() -> QuantizedMoments:
+                if delay:
+                    time.sleep(delay)
+                return chain.quantized_moments()
 
-        loop = asyncio.get_running_loop()
-        moments = await loop.run_in_executor(self.pool, compute)
-        return Reply(status=Status.OK, kind=BodyKind.MOMENTS, moments=moments)
+            loop = asyncio.get_running_loop()
+            moments = await loop.run_in_executor(self.pool, compute)
+        return Reply(
+            status=Status.OK,
+            kind=BodyKind.MOMENTS,
+            moments=Moments(moments, entry.container.eps),
+        )
 
     def _handle_ping(self) -> Reply:
         doc = {

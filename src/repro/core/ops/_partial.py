@@ -21,7 +21,12 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.blocks import BlockLayout
-from repro.core.encode import decode_stored_deltas, encode_bins, encode_block_sections
+from repro.core.encode import (
+    FRONT_TILE,
+    decode_stored_deltas,
+    encode_bins,
+    encode_block_sections,
+)
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
 from repro.core.lorenzo import lorenzo_inverse
@@ -40,6 +45,7 @@ __all__ = [
     "Requantize",
     "Step",
     "apply_steps",
+    "transformed_moments",
     "rebuild_stored",
 ]
 
@@ -93,12 +99,15 @@ def stored_quantized(c: SZOpsCompressed) -> StoredBlocks:
     :mod:`repro.runtime.cache` has an active cache (the default), the
     BF⁻¹ + Lorenzo⁻¹ decode of a given stream runs once and later operations
     on the same stream reuse the cached (read-only) view; with the cache
-    disabled this is exactly :func:`decode_stored_blocks`.
+    disabled this is exactly :func:`decode_stored_blocks`.  Under
+    :func:`~repro.runtime.cache.memo_only` it always raises
+    :class:`~repro.runtime.cache.MemoMiss`.
     """
-    from repro.runtime.cache import active_cache
+    from repro.runtime.cache import active_cache, ensure_may_decode
 
     cache = active_cache()
     if cache is None:
+        ensure_may_decode()
         return decode_stored_blocks(c)
     return cache.get_blocks(c)
 
@@ -109,12 +118,15 @@ def stored_moments(c: SZOpsCompressed) -> QuantizedMoments:
     With an active cache they are memoised on ``c`` itself
     (:meth:`~repro.runtime.cache.DecodedBlockCache.get_moments`), so they
     outlive ``c``'s decoded bins; with the cache disabled every call
-    decodes.
+    decodes.  Under :func:`~repro.runtime.cache.memo_only` only a valid
+    memo is served; anything else raises
+    :class:`~repro.runtime.cache.MemoMiss`.
     """
-    from repro.runtime.cache import active_cache
+    from repro.runtime.cache import active_cache, ensure_may_decode
 
     cache = active_cache()
     if cache is None:
+        ensure_may_decode()
         return decode_stored_blocks(c).moments
     return cache.get_moments(c)
 
@@ -317,6 +329,50 @@ class _TileSteps:
         return q
 
 
+def transformed_moments(
+    blocks: StoredBlocks, steps: tuple[Step, ...]
+) -> QuantizedMoments:
+    """Exact moments of ``blocks`` after ``steps``, one tile at a time.
+
+    Equal to ``QuantizedMoments.of`` of the whole transformed view (the
+    sums are exact integers, so tiling cannot change them), but both
+    planes go through ``steps`` in reused tile-sized buffers, so the
+    memory this takes does not grow with the stream.  A failing guard
+    raises the error of the whole-plane order (:func:`apply_steps`), as
+    :func:`rebuild_stored` does.
+    """
+    tile_steps = _TileSteps(steps)
+
+    def tiled(x: np.ndarray, counts: np.ndarray | None = None) -> QuantizedMoments:
+        return QuantizedMoments.combine(
+            QuantizedMoments.of_values(
+                tile_steps(x[lo : lo + FRONT_TILE]),
+                None if counts is None else counts[lo : lo + FRONT_TILE],
+            )
+            for lo in range(0, x.size, FRONT_TILE)
+        )
+
+    try:
+        return tiled(blocks.q) + tiled(blocks.const_outliers, blocks.const_lens)
+    except OperationError as exc:
+        raise _whole_plane_error(steps, blocks, exc) from None
+
+
+def _whole_plane_error(
+    steps: tuple[Step, ...], blocks: StoredBlocks, exc: OperationError
+) -> OperationError:
+    """The error :func:`apply_steps` raises first, for a tiled run's ``exc``.
+
+    A tile can trip a later step before another tile trips an earlier
+    one; rerunning the whole-plane order finds the error it reports.
+    """
+    try:
+        apply_steps(steps, blocks.q, blocks.const_outliers)
+    except OperationError as first:
+        return first
+    return exc
+
+
 def rebuild_stored(
     c: SZOpsCompressed, blocks: StoredBlocks, steps: tuple[Step, ...] = ()
 ) -> SZOpsCompressed:
@@ -353,11 +409,7 @@ def rebuild_stored(
                 blocks.q, c.block_size, _TileSteps(steps) if steps else None
             )
     except OperationError as exc:
-        try:
-            apply_steps(steps, blocks.q, blocks.const_outliers)
-        except OperationError as first:
-            exc = first
-        raise exc from None
+        raise _whole_plane_error(steps, blocks, exc) from None
     new_outliers[~stored] = const
     if blocks.q.size:
         new_outliers[stored] = front.outliers

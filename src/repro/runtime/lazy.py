@@ -34,7 +34,10 @@ Materialization strategy:
   :meth:`maximum`) skip the re-encode entirely: they take the exact
   :class:`~repro.core.moments.QuantizedMoments` of the transformed
   blocks, so ``k`` scalar ops + reduction cost one decode and zero
-  encodes.  A trailing negate/add/sub run maps moments to moments exactly,
+  encodes.  Without an ``executor`` those moments are summed tile by
+  tile as the steps run (:func:`~repro.core.ops._partial.transformed_moments`),
+  so no transformed plane is ever made in full.  A trailing
+  negate/add/sub run maps moments to moments exactly,
   so it costs no pass over the data at all: without a multiply, and with
   no ``executor``, the chain reads the base stream's memoised moments
   (:func:`~repro.core.ops._partial.stored_moments`).
@@ -62,6 +65,7 @@ from repro.core.ops._partial import (
     rebuild_stored,
     stored_moments,
     stored_quantized,
+    transformed_moments,
 )
 from repro.core.ops.negate import negate as eager_negate
 from repro.core.ops.scalar_add import quantized_scalar_shift, shift_outliers
@@ -217,6 +221,8 @@ class LazyStream:
             # base stream's memoised sums serve a negate/add/sub suffix.
             inner = LazyStream(self.base, steps[:-1])._moments(executor)
             return steps[-1].apply_moments(inner)
+        if executor is None:
+            return transformed_moments(stored_quantized(self.base), steps)
         return chunked_moments(self._transformed_blocks(), executor)
 
     def mean(self, executor: ExecutionBackend | None = None) -> float:

@@ -25,6 +25,7 @@ from repro.runtime import (
     use_cache,
 )
 from repro.runtime import cache as cache_module
+from repro.runtime.cache import MemoMiss, memo_only
 from repro.runtime.reduce import parallel_summary_statistics
 
 REDUCTIONS = (ops.mean, ops.variance, ops.std, ops.minimum, ops.maximum)
@@ -329,6 +330,93 @@ class TestMomentsMemo:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
         assert cache.stats.lookups == n_threads * iters
+
+
+class TestMemoOnly:
+    """``memo_only``: O(1) memo reads are served, everything else signals."""
+
+    def test_valid_memo_is_one_hit_and_refreshes_recency(self, codec, rng):
+        a, b, d = (
+            codec.compress(np.cumsum(rng.normal(size=4096)) * 0.1, 1e-3)
+            for _ in range(3)
+        )
+        cache = DecodedBlockCache(max_entries=2)
+        with use_cache(cache):
+            want = _partial.stored_moments(a)
+            ops.mean(b)
+            hits, misses = cache.stats.hits, cache.stats.misses
+            with memo_only():
+                assert _partial.stored_moments(a) == want
+            assert cache.stats.hits == hits + 1 and cache.stats.misses == misses
+            stored_quantized(d)  # evicts the least recent, now b
+            assert a in cache and b not in cache
+
+    def test_stale_memo_signals_without_counting(self, cache, stream, decodes):
+        ops.mean(stream)
+        clear_cache()
+        before = replace(cache.stats)
+        with memo_only(), pytest.raises(MemoMiss):
+            _partial.stored_moments(stream)
+        assert cache.stats == before
+        assert len(decodes) == 1
+
+    def test_miss_signals_without_counting(self, cache, stream, decodes):
+        with memo_only(), pytest.raises(MemoMiss):
+            _partial.stored_moments(stream)
+        assert cache.stats == cache_module.CacheStats()
+        assert decodes == [] and stream._moments_memo is None
+
+    def test_memo_of_another_cache_signals(self, stream, decodes):
+        with use_cache(DecodedBlockCache()):
+            ops.mean(stream)
+        other = DecodedBlockCache()
+        with use_cache(other), memo_only(), pytest.raises(MemoMiss):
+            _partial.stored_moments(stream)
+        assert other.stats == cache_module.CacheStats()
+
+    def test_stored_quantized_always_signals(self, cache, stream, decodes):
+        stored_quantized(stream)
+        ops.mean(stream)
+        before = replace(cache.stats)
+        with memo_only(), pytest.raises(MemoMiss):
+            stored_quantized(stream)
+        assert cache.stats == before
+        assert len(decodes) == 1
+
+    def test_cache_disabled_signals(self, cache, stream, decodes):
+        ops.mean(stream)
+        with cache_disabled(), memo_only(), pytest.raises(MemoMiss):
+            _partial.stored_moments(stream)
+        assert len(decodes) == 1
+
+    def test_scope_is_per_thread_and_nests(self, cache, stream):
+        outcomes: list[str] = []
+
+        def try_decode() -> None:
+            try:
+                stored_quantized(stream)
+                outcomes.append("decoded")
+            except MemoMiss:
+                outcomes.append("refused")
+
+        with memo_only():
+            with memo_only():
+                try_decode()
+            try_decode()
+            worker = threading.Thread(target=try_decode)
+            worker.start()
+            worker.join()
+        try_decode()
+        assert outcomes == ["refused", "refused", "decoded", "decoded"]
+
+    def test_lazy_chain_inside_the_guard(self, cache, stream):
+        """A negate/add suffix maps the memo; a multiply signals."""
+        chain = lazy(stream).negate().scalar_add(0.5)
+        want = chain.quantized_moments()
+        with memo_only():
+            assert chain.quantized_moments() == want
+            with pytest.raises(MemoMiss):
+                chain.scalar_multiply(2.0).quantized_moments()
 
 
 _STEP = st.one_of(

@@ -15,6 +15,8 @@ so overflows sit exactly where a test puts them.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,9 @@ from hypothesis import strategies as st
 from repro import SZOps, lazy, ops
 from repro.core.encode import FRONT_TILE
 from repro.core.errors import OperationError
-from repro.core.ops._partial import rebuild_stored
-from repro.runtime import IntAffine, LazyStream, Requantize
+from repro.core.moments import QuantizedMoments
+from repro.core.ops._partial import rebuild_stored, stored_quantized
+from repro.runtime import DecodedBlockCache, IntAffine, LazyStream, Requantize, use_cache
 
 EPS = 0.5
 
@@ -61,9 +64,22 @@ def whole_plane(chain: LazyStream):
     return outcome(lambda: rebuild_stored(chain.base, chain._transformed_blocks()))
 
 
+def moments_outcome(fn):
+    """``("ok", moments)`` or ``("error", message)`` of one reduction."""
+    try:
+        return "ok", fn()
+    except OperationError as exc:
+        return "error", str(exc)
+
+
 def assert_fused_matches_whole_plane(chain: LazyStream):
+    """Fused bytes and fused (tile-by-tile) moments match the whole plane."""
     want = whole_plane(chain)
     assert outcome(chain.materialize) == want
+    want_moments = moments_outcome(
+        lambda: QuantizedMoments.of(chain._transformed_blocks())
+    )
+    assert moments_outcome(chain.quantized_moments) == want_moments
     return want
 
 
@@ -215,3 +231,36 @@ def test_fused_matches_whole_plane(block_size, tiles, extra, seed, offset, chain
     if not any(isinstance(s, Requantize) for s in fused.steps):
         fused = LazyStream(fused.base, fused.steps + (Requantize(1.0),))
     assert_fused_matches_whole_plane(fused)
+
+
+# ---------------------------------------------------------------------------
+# reductions of a multiply chain: tile-sized memory, whatever the length
+# ---------------------------------------------------------------------------
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    fn()
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def test_multiply_chain_moments_memory_does_not_grow_with_the_stream():
+    """Moments of ``x * s`` never build the transformed plane in full."""
+    peaks, whole = [], 0
+    with use_cache(DecodedBlockCache(max_bytes=1 << 30)):
+        for n in (1_600_000, 3_200_000):
+            c = stream_of(noisy_bins(n, seed=n, constant_every=16))
+            stored_quantized(c)  # bins cached: only the reduction is measured
+            chain = lazy(c).scalar_multiply(2.0)
+            tracemalloc.start()
+            try:
+                peaks.append(_peak_bytes(chain.mean))
+                if not whole:
+                    whole = _peak_bytes(
+                        lambda: QuantizedMoments.of(chain._transformed_blocks())
+                    )
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[0] <= whole / 8
