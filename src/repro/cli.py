@@ -201,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.002,
         help=(
-            "micro-batching window in seconds, opened only while another "
-            "request is queued or executing (0 keeps dedup, no delay)"
+            "micro-batching window in seconds, opened only while more than "
+            "one queued request can drain (0 keeps dedup, no delay)"
         ),
     )
     p.add_argument(
