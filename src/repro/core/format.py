@@ -361,7 +361,7 @@ def width_findings(
             "VS005",
             plane_offset + idx,
             f"block {idx} declares bit width {int(widths[idx])}, "
-            f"above the {cap}-bit cap for this dtype",
+            f"above the {cap}-bit width cap",
             hint="a corrupted width byte; every downstream section "
             "boundary derived from it would be wrong",
         )
@@ -481,6 +481,7 @@ def _walk(r: ByteReader, findings: list[StreamFinding]) -> SZOpsCompressed:
             f"dtype {dtype.str!r} is not a 2-, 4- or 8-byte float",
             "SZOps streams carry float16/float32/float64 data only",
         )
+    at = r.tell()
     ndim = r.read_u8("ndim")
     shape = tuple(r.read_u64(f"dim {i}") for i in range(ndim))
     n_elements = math.prod(shape)

@@ -11,6 +11,10 @@ The two pointwise steps a re-encode applies — ``IntAffine`` (negation,
 quantized scalar add/subtract) and ``Requantize`` (scalar multiplication)
 — live here too: eager multiplication and lazy chains run the same step
 kernels, tile by tile inside the encode front (:func:`rebuild_stored`).
+A chain runs in its exact :func:`normal_form`: every guard is decided up
+front on the view's exact bounds, signs fold into the multiplies, and the
+shifts after the last multiply land on the outliers, so the bins see one
+multiply per ``Requantize`` and nothing else.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "Requantize",
     "Step",
     "apply_steps",
+    "normal_form",
     "transformed_moments",
     "rebuild_stored",
 ]
@@ -80,6 +85,19 @@ class StoredBlocks:
         """
         return QuantizedMoments.of(self)
 
+    @cached_property
+    def bounds(self) -> tuple[int, int] | None:
+        """Exact ``(min, max)`` of the view's bins; ``None`` when it has none.
+
+        What a chain's guards read (:func:`normal_form`): taken off
+        :attr:`moments` when those are already computed, else scanned
+        once, so a warm view's chains guard in O(1).
+        """
+        moments = self.__dict__.get("moments")
+        if moments is not None:
+            return (moments.lo, moments.hi) if moments.n else None
+        return _scan_bounds(self.q, self.const_outliers)
+
     def expand(self, lens: np.ndarray) -> np.ndarray:
         """Quantized integers of every block in element order.
 
@@ -90,6 +108,14 @@ class StoredBlocks:
         q[stored_elems] = self.q
         q[~stored_elems] = np.repeat(self.const_outliers, self.const_lens)
         return q
+
+
+def _scan_bounds(*planes: np.ndarray) -> tuple[int, int] | None:
+    """``(min, max)`` over the non-empty ``planes``; ``None`` if all are empty."""
+    ends = [(int(x.min()), int(x.max())) for x in planes if x.size]
+    if not ends:
+        return None
+    return min(lo for lo, _ in ends), max(hi for _, hi in ends)
 
 
 def stored_quantized(c: SZOpsCompressed) -> StoredBlocks:
@@ -186,6 +212,14 @@ def ensure_quantized_range(q: np.ndarray, context: str, shift: int = 0) -> np.nd
 _FUSED_SHIFT = "fused scalar shift"
 
 
+def _affine_moments(m: QuantizedMoments, sigma: int, shift: int) -> QuantizedMoments:
+    """Exact moments of ``sigma*q + shift`` from those of ``q``, unguarded."""
+    s1, lo, hi = (-m.s1, -m.hi, -m.lo) if sigma < 0 else (m.s1, m.lo, m.hi)
+    n = m.n
+    s2 = m.s2 + 2 * shift * s1 + n * shift * shift
+    return QuantizedMoments(s1 + n * shift, s2, lo + shift, hi + shift, n)
+
+
 @dataclass(frozen=True)
 class IntAffine:
     """Exact integer step ``q -> sigma * q + shift`` (sigma in {+1, -1})."""
@@ -193,29 +227,43 @@ class IntAffine:
     sigma: int
     shift: int
 
-    def apply(
-        self,
-        q: np.ndarray,
-        out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None,
-        bounds: tuple[int, int] | None = None,
-    ) -> np.ndarray:
-        """``sigma*q + shift`` into ``out`` (a new array when ``None``).
+    def bounds_after(self, lo: int, hi: int) -> tuple[int, int]:
+        """The step's guard on bins in ``[lo, hi]``, and their exact new bounds.
 
         The shift_outliers guard: a fused chain can accumulate a shift the
-        eager path would have rejected step by step.  ``|sigma*q|`` is
-        ``|q|``, so the guard reads ``q``'s ``(min, max)``, or ``bounds``
-        when the caller already knows them; an empty plane is returned as
-        is, unguarded.
+        eager path would have rejected step by step, so ``|q| + |shift|``
+        must stay below ``Q_LIMIT`` (``|sigma*q|`` is ``|q|``).
+        """
+        shift = int(self.shift)
+        if abs(shift) >= int(Q_LIMIT) or max(hi, -lo) + abs(shift) >= int(Q_LIMIT):
+            raise range_overflow(_FUSED_SHIFT)
+        if self.sigma < 0:
+            return shift - hi, shift - lo
+        return lo + shift, hi + shift
+
+    def apply(self, q: np.ndarray) -> np.ndarray:
+        """``sigma*q + shift`` of a whole plane, guarded by its ``(min, max)``.
+
+        An empty plane is returned as is, unguarded.
         """
         if not q.size:
             return q
+        self.bounds_after(int(q.min()), int(q.max()))
+        return self.transform(q)
+
+    def transform(
+        self, q: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``sigma*q + shift`` into ``out`` (a new array when ``None``), unguarded.
+
+        For a step whose guard already passed (:meth:`bounds_after`);
+        ``scratch`` is unused.  Every guard a shift passes bounds
+        ``|shift|`` below ``Q_LIMIT``, and ``|q|`` is below it too; the
+        O(1) check restates the first, which lets the range analysis
+        (SZL101) prove ``q + shift``.
+        """
         shift = int(self.shift)
-        lo, hi = bounds if bounds is not None else (int(q.min()), int(q.max()))
-        # max(hi, -lo) >= 0, so the first arm restates part of the second;
-        # it is what lets the range analysis (SZL101) bound ``q + shift``
-        # when the bounds come from the caller rather than from ``q``.
-        if abs(shift) >= int(Q_LIMIT) or max(hi, -lo) + abs(shift) >= int(Q_LIMIT):
+        if abs(shift) >= int(Q_LIMIT):
             raise range_overflow(_FUSED_SHIFT)
         if self.sigma < 0:
             return np.subtract(shift, q, out=out)
@@ -227,12 +275,9 @@ class IntAffine:
         Raises exactly when :meth:`apply` would on the planes ``m`` sums.
         """
         shift = int(self.shift)
-        s1, lo, hi = (-m.s1, -m.hi, -m.lo) if self.sigma < 0 else (m.s1, m.lo, m.hi)
-        if shift and m.n and max(hi, -lo) + abs(shift) >= int(Q_LIMIT):
-            raise range_overflow(_FUSED_SHIFT)
-        n = m.n
-        s2 = m.s2 + 2 * shift * s1 + n * shift * shift
-        return QuantizedMoments(s1 + n * shift, s2, lo + shift, hi + shift, n)
+        if shift and m.n:
+            self.bounds_after(m.lo, m.hi)
+        return _affine_moments(m, self.sigma, shift)
 
     @property
     def is_identity(self) -> bool:
@@ -245,46 +290,56 @@ class Requantize:
 
     s_rep: float
 
-    def apply(
-        self, q: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``round(q * s_rep)`` with an overflow guard on the int64 result.
+    def bounds_after(self, lo: int, hi: int) -> tuple[int, int]:
+        """The step's guard on bins in ``[lo, hi]``, and their exact new bounds.
 
-        The float64 product goes to ``scratch`` and the bins to ``out``
-        (new arrays when ``None``).  The guard must *raise*, never wrap: a
-        silent int64 wraparound would produce a decodable stream
-        representing garbage.  Three failure shapes are caught — a finite
-        product at or beyond ``Q_LIMIT`` (2^62), a product that overflowed
-        float64 to infinity, and a NaN from ``0 * inf`` — all reported as
-        the documented :class:`OperationError`.
+        The int64 conversion, the float64 multiply and ``rint`` are all
+        monotone, so ``round(lo * s_rep)`` and ``round(hi * s_rep)`` are the
+        exact extremes of the products: checking them decides what
+        scanning every product would (:meth:`apply`).  NaN (``0 * inf``)
+        fails both comparisons and so does an infinite product.
         """
-        return self.apply_bounded(q, out, scratch)[0]
+        limit = float(Q_LIMIT)
+        s = float(self.s_rep)
+        a, b = np.rint(float(lo) * s), np.rint(float(hi) * s)
+        if not (-limit < a < limit and -limit < b < limit):
+            raise range_overflow("scalar multiplication")
+        return (int(a), int(b)) if a <= b else (int(b), int(a))
 
-    def apply_bounded(
-        self, q: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-    ) -> tuple[np.ndarray, tuple[int, int] | None]:
-        """:meth:`apply`, plus the result's ``(min, max)`` its guard read.
+    def transform(
+        self, q: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    ) -> np.ndarray:
+        """``round(q * s_rep)`` into ``out`` through the float64 ``scratch``, unguarded.
 
-        The bounds are ``None`` for an empty plane.
+        For a multiply whose guard already passed (:meth:`bounds_after`):
+        every product is finite and below ``Q_LIMIT``, so the cast is exact.
+        """
+        np.multiply(q, self.s_rep, out=scratch, dtype=np.float64)
+        np.rint(scratch, out=scratch)
+        np.copyto(out, scratch, casting="unsafe")
+        return out
+
+    def apply(self, q: np.ndarray) -> np.ndarray:
+        """``round(q * s_rep)`` of a whole plane, guarded by scanning the products.
+
+        The guard must *raise*, never wrap: a silent int64 wraparound
+        would produce a decodable stream representing garbage.  Three
+        failure shapes are caught — a finite product at or beyond
+        ``Q_LIMIT`` (2^62), a product that overflowed float64 to infinity,
+        and a NaN from ``0 * inf`` — all reported as the documented
+        :class:`OperationError`.
         """
         # The guard below reports overflow and NaN products.
         with np.errstate(over="ignore", invalid="ignore"):
-            scaled = np.multiply(q, self.s_rep, out=scratch, dtype=np.float64)
+            scaled = np.multiply(q, self.s_rep, dtype=np.float64)
         np.rint(scaled, out=scaled)
-        bounds: tuple[int, int] | None = None
         if scaled.size:
             limit = float(Q_LIMIT)
-            hi, lo = scaled.max(), scaled.min()
             # max/min propagate NaN and NaN fails both comparisons, so this
             # one guard rejects NaN, +-inf and every finite |x| >= Q_LIMIT.
-            if not (hi < limit and lo > -limit):
+            if not (scaled.max() < limit and scaled.min() > -limit):
                 raise range_overflow("scalar multiplication")
-            # Integral and below 2^62, so exactly the int64 bins' extremes.
-            bounds = (int(lo), int(hi))
-        if out is None:
-            return scaled.astype(np.int64), bounds
-        np.copyto(out, scaled, casting="unsafe")
-        return out, bounds
+        return scaled.astype(np.int64)
 
 
 Step = IntAffine | Requantize
@@ -300,13 +355,63 @@ def apply_steps(
     return q, const
 
 
-class _TileSteps:
-    """``steps`` over one tile at a time, in reused int64/float64 buffers.
+def normal_form(
+    steps: tuple[Step, ...], blocks: StoredBlocks
+) -> tuple[tuple[Step, ...], tuple[int, ...]]:
+    """``steps`` over ``blocks`` as ``(body, tail)``, every guard decided.
 
-    The first call sizes the buffers (the encode front's first tile is
-    its largest); each step reads the previous one's result and writes
-    the int64 buffer, a multiply through the float64 one.  A shift after
-    a multiply guards with the tile bounds the multiply's guard read.
+    The guards run first, on the view's exact bounds
+    (:attr:`StoredBlocks.bounds`), each original step in order, so a
+    failing chain raises what :func:`apply_steps` raises.  Then the steps
+    are rewritten so every bin is touched as few times as exactness
+    allows:
+
+    * every sign folds into the next multiply: ``rint`` rounds half to
+      even and ``float(-q)*s == -(float(q)*s)``, so ``sigma*q + b`` then
+      ``* s`` is ``+ sigma*b`` then ``* sigma*s``, and a sign after the
+      last multiply folds into it;
+    * the shifts after the last multiply form the ``tail``: a uniform
+      shift leaves the Lorenzo deltas alone, so it lands on the outliers
+      (or on the moments) and never on a bin.
+
+    ``body`` runs per bin, unguarded: unsigned shifts (``IntAffine(1, b)``)
+    and multiplies, or a lone negation when there is no multiply to fold
+    it into.  Every shift of ``body`` and ``tail`` is one original step's
+    shift, up to sign.  A view without bins transforms to nothing.
+    """
+    bounds = blocks.bounds if steps else None
+    if bounds is None:
+        return (), ()
+    lo, hi = bounds
+    body: list[Step] = []
+    shifts: list[int] = []  # since the last multiply, before the sign
+    sigma = 1  # the computed bins are sigma times the chain's
+    for step in steps:
+        lo, hi = step.bounds_after(lo, hi)
+        if isinstance(step, Requantize):
+            body.extend(IntAffine(1, shift) for shift in shifts)
+            body.append(Requantize(sigma * step.s_rep))
+            shifts, sigma = [], 1
+        else:
+            sigma *= step.sigma
+            if step.shift:
+                shifts.append(sigma * int(step.shift))
+    if sigma < 0:
+        last = body[-1] if body else None
+        if isinstance(last, Requantize):
+            body[-1] = Requantize(-last.s_rep)
+        else:
+            body.append(IntAffine(-1, 0))
+    return tuple(body), tuple(sigma * shift for shift in shifts)
+
+
+class _TileMap:
+    """A normal form's ``body`` over one plane at a time, in reused buffers.
+
+    Each call maps a plane (a tile of the stored bins, or the constant
+    outliers) to a view of an int64 buffer the next call overwrites (or,
+    for an empty body, to the plane itself); the buffers grow to the
+    largest plane seen.  Multiplies go through a float64 one.
     """
 
     def __init__(self, steps: tuple[Step, ...]) -> None:
@@ -315,17 +420,15 @@ class _TileSteps:
         self.floats = np.empty(0, dtype=np.float64)
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
+        if not self.steps:
+            return q
         n = q.size
         if self.ints.size < n:
             self.ints = np.empty(n, dtype=np.int64)
             self.floats = np.empty(n, dtype=np.float64)
         out, scratch = self.ints[:n], self.floats[:n]
-        bounds: tuple[int, int] | None = None
         for step in self.steps:
-            if isinstance(step, Requantize):
-                q, bounds = step.apply_bounded(q, out, scratch)
-            else:
-                q, bounds = step.apply(q, out, scratch, bounds), None
+            q = step.transform(q, out, scratch)
         return q
 
 
@@ -335,42 +438,28 @@ def transformed_moments(
     """Exact moments of ``blocks`` after ``steps``, one tile at a time.
 
     Equal to ``QuantizedMoments.of`` of the whole transformed view (the
-    sums are exact integers, so tiling cannot change them), but both
-    planes go through ``steps`` in reused tile-sized buffers, so the
-    memory this takes does not grow with the stream.  A failing guard
-    raises the error of the whole-plane order (:func:`apply_steps`), as
-    :func:`rebuild_stored` does.
+    sums are exact integers, so tiling cannot change them).  The chain
+    runs in its :func:`normal_form`: the body over both planes in reused
+    tile-sized buffers, so the memory this takes does not grow with the
+    stream, and the tail shifts the moments.  A failing guard raises the
+    error of the whole-plane order (:func:`apply_steps`).
     """
-    tile_steps = _TileSteps(steps)
+    body, tail = normal_form(steps, blocks)
+    tile_map = _TileMap(body)
 
     def tiled(x: np.ndarray, counts: np.ndarray | None = None) -> QuantizedMoments:
         return QuantizedMoments.combine(
             QuantizedMoments.of_values(
-                tile_steps(x[lo : lo + FRONT_TILE]),
+                tile_map(x[lo : lo + FRONT_TILE]),
                 None if counts is None else counts[lo : lo + FRONT_TILE],
             )
             for lo in range(0, x.size, FRONT_TILE)
         )
 
-    try:
-        return tiled(blocks.q) + tiled(blocks.const_outliers, blocks.const_lens)
-    except OperationError as exc:
-        raise _whole_plane_error(steps, blocks, exc) from None
-
-
-def _whole_plane_error(
-    steps: tuple[Step, ...], blocks: StoredBlocks, exc: OperationError
-) -> OperationError:
-    """The error :func:`apply_steps` raises first, for a tiled run's ``exc``.
-
-    A tile can trip a later step before another tile trips an earlier
-    one; rerunning the whole-plane order finds the error it reports.
-    """
-    try:
-        apply_steps(steps, blocks.q, blocks.const_outliers)
-    except OperationError as first:
-        return first
-    return exc
+    moments = tiled(blocks.q) + tiled(blocks.const_outliers, blocks.const_lens)
+    for shift in tail:
+        moments = _affine_moments(moments, 1, shift)
+    return moments
 
 
 def rebuild_stored(
@@ -378,52 +467,48 @@ def rebuild_stored(
 ) -> SZOpsCompressed:
     """Re-encode ``blocks`` (a quantized view of ``c``'s geometry) after ``steps``.
 
-    The stored blocks' bins run through ``steps`` one block-aligned tile at
-    a time inside the encode front, so each tile is transformed, Lorenzo
-    coded and split into signs and magnitudes while it is in cache; the
-    constant blocks' outliers go through ``steps`` as one small plane and
-    never touch a payload.  A stored block whose transformed deltas are
-    all zero re-encodes at width 0, i.e. it *becomes* constant (exactly as
-    eager scalar multiplication behaves).  A failing guard raises the
-    error of the whole-plane order (:func:`apply_steps`): a tile can trip
-    a later step before another tile trips an earlier one.
+    The chain runs in its :func:`normal_form`, so a failing guard raises
+    the error of the whole-plane order (:func:`apply_steps`) before any
+    bin is touched.  The body runs on the stored blocks' bins one
+    block-aligned tile at a time inside the encode front, so each tile is
+    transformed, Lorenzo coded and split into signs and magnitudes while
+    it is in cache; the constant blocks' outliers go through it as one
+    small plane and never touch a payload.  The tail shifts the outliers
+    alone.  A stored block whose transformed deltas are all zero
+    re-encodes at width 0, i.e. it *becomes* constant (exactly as eager
+    scalar multiplication behaves).
 
     Shared by :func:`repro.core.ops.scalar_mul.scalar_multiply`, the lazy
     fusion runtime (:mod:`repro.runtime.lazy`) and the multivariate
     combine — one encode path is what makes fused and eager chains
     produce identical streams.
     """
+    body, tail = normal_form(steps, blocks)
+    tile_map = _TileMap(body)
     layout = c.layout
     stored = blocks.stored_mask
-    new_outliers = np.empty(layout.n_blocks, dtype=np.int64)
+    outliers = np.empty(layout.n_blocks, dtype=np.int64)
     new_widths = np.zeros(layout.n_blocks, dtype=np.uint8)
     sign_bytes = payload_bytes = np.zeros(0, dtype=np.uint8)
-    try:
-        const = blocks.const_outliers
-        for step in steps:
-            const = step.apply(const)
-        if blocks.q.size:
-            # Only the globally last block may be ragged, so the stored
-            # blocks form a block layout of their own.
-            front = encode_bins(
-                blocks.q, c.block_size, _TileSteps(steps) if steps else None
-            )
-    except OperationError as exc:
-        raise _whole_plane_error(steps, blocks, exc) from None
-    new_outliers[~stored] = const
+    outliers[~stored] = tile_map(blocks.const_outliers)
     if blocks.q.size:
-        new_outliers[stored] = front.outliers
+        # Only the globally last block may be ragged, so the stored
+        # blocks form a block layout of their own.
+        front = encode_bins(blocks.q, c.block_size, tile_map)
+        outliers[stored] = front.outliers
         new_widths[stored] = front.widths
         sign_bytes, payload_bytes = encode_block_sections(
             front.mags, front.signs, front.widths, blocks.lens
         )
+    for shift in tail:
+        IntAffine(1, shift).transform(outliers, outliers)
     return SZOpsCompressed(
         shape=c.shape,
         dtype=c.dtype,
         eps=c.eps,
         block_size=c.block_size,
         widths=new_widths,
-        outliers=new_outliers,
+        outliers=outliers,
         sign_bytes=sign_bytes,
         payload_bytes=payload_bytes,
     )

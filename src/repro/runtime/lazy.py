@@ -15,10 +15,14 @@ Pending transforms are sequences of two primitive quantized-domain steps:
   add/subtract are exactly these, and consecutive ones fold: a whole
   negate/add/sub run collapses to a single step.
 * ``Requantize(s_rep)`` — ``q -> round(q * s_rep)``, the scalar-multiply
-  kernel.  Requantization rounds, so it never folds across another step —
-  keeping it as a barrier is what makes fused chains *bit-identical* to
+  kernel.  Requantization rounds, so no shift folds across it — keeping it
+  as a barrier to shifts is what makes fused chains *bit-identical* to
   applying the ops eagerly one at a time (the eager chain performs the same
-  integer ops exactly and rounds at the same points).
+  integer ops exactly and rounds at the same points).  Signs are another
+  matter: ``rint`` rounds half to even, which is symmetric, so when a chain
+  runs (:func:`~repro.core.ops._partial.normal_form`) every negation folds
+  into the next multiply's factor, or into the last one's, exactly.
+  :attr:`LazyStream.steps` keeps the chain as recorded.
 
 Materialization strategy:
 
@@ -29,7 +33,10 @@ Materialization strategy:
   :func:`~repro.core.ops._partial.rebuild_stored` path eager multiplication
   uses: the steps run per block-aligned tile inside the encode front, into
   reused tile-sized buffers, so the chain and the re-encode are one pass
-  over the stored bins with no full-size temporaries;
+  over the stored bins with no full-size temporaries.  The guards read the
+  decoded view's exact bounds up front, signs ride on the multiplies and a
+  trailing shift lands on the outliers, so a ``negate → ×s → +b`` chain
+  touches each bin with one multiply;
 * reductions (:meth:`mean`, :meth:`variance`, :meth:`std`, :meth:`minimum`,
   :meth:`maximum`) skip the re-encode entirely: they take the exact
   :class:`~repro.core.moments.QuantizedMoments` of the transformed

@@ -235,11 +235,13 @@ def test_szp_verifier_sizes_match_reference(flags, plane, d_sign, d_payload,
 # ----------------------------------------------------- pinned mutation corpus
 
 #: sha256 of the findings over ``mutation_corpus()``, recorded from the
-#: per-block verifier and re-recorded once when the SZOps width cap became
-#: 64 bits for every dtype (one float32 case's VS005 findings moved).  A
-#: change here means a verdict, offset or message moved for some corrupt
-#: stream.
-CORPUS_DIGEST = "84742682949a6bfcaad01b69c96495091e5518273c5d7a30e55d99689dd4fcba"
+#: per-block verifier and re-recorded when the SZOps width cap became
+#: 64 bits for every dtype (one float32 case's VS005 findings moved), and
+#: again when the VS005 text stopped saying "for this dtype" (the SZp
+#: verifier shares it) and the implausible-shape VS004 moved to the ndim
+#: field's offset.  A change here means a verdict, offset or message moved
+#: for some corrupt stream.
+CORPUS_DIGEST = "6d5cf9bfda300d942af69555d5224d947fc6ad1664eb495786eac74aa90e7d81"
 
 
 def _signal(n: int, seed: int) -> np.ndarray:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SZOps, ops
 from repro.core.errors import OperationError
+from repro.core.ops._partial import stored_quantized
+from repro.core.quantize import Q_LIMIT
 
 
 @pytest.fixture
@@ -94,3 +98,59 @@ class TestMeasures:
         c = codec.compress(plateau_field, 1e-4)
         x = codec.decompress(c).astype(np.float64).reshape(-1)
         assert ops.dot(c, c) == pytest.approx(float(np.dot(x, x)), rel=5e-6)
+
+
+# ---------------------------------------------------------------------------
+# the combine's range gate: exact inside the |q| < Q_LIMIT band, refused outside
+# ---------------------------------------------------------------------------
+
+#: Operand offsets: far from the limit, and near it from either side.
+OFFSETS = [0, 2**40, 2**61, -(2**61), 2**62 - 2**59, -(2**62) + 2**59, 2**62 - 200]
+
+
+@given(
+    n=st.integers(min_value=1, max_value=700),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    offset_a=st.sampled_from(OFFSETS),
+    offset_b=st.sampled_from(OFFSETS),
+    constant_every=st.sampled_from([0, 2, 3]),
+    sign=st.sampled_from([1, -1]),
+)
+@settings(deadline=None)
+def test_combine_is_exact_or_refused(n, seed, offset_a, offset_b, constant_every, sign):
+    """In-band sums keep every bin exactly; a sum leaving the band raises.
+
+    The oracle is Python-int arithmetic on the operands' bins: a pair whose
+    combined bins all satisfy ``|q| < Q_LIMIT`` decodes to exactly
+    ``q_a ± q_b``, and any other pair raises the combine's range error,
+    naming the constant blocks when two constant blocks overflow.
+    """
+    rng = np.random.default_rng(seed)
+    lens_of = []
+
+    def stream(offset):
+        q = rng.integers(-3, 4, size=n)
+        if constant_every:
+            for start in range(0, n, constant_every * 64):
+                q[start : start + 64] = q[start]  # a constant block
+        q = np.clip(q + offset, -int(Q_LIMIT) + 1, int(Q_LIMIT) - 1)
+        c = SZOps(block_size=64).encode_quantized(q, q.shape, np.float64, 0.5)
+        lens_of.append(c.layout.lengths())
+        return c, [int(v) for v in q]
+
+    (a, qa), (b, qb) = stream(offset_a), stream(offset_b)
+    expected = [x + sign * y for x, y in zip(qa, qb)]
+    blocks_a, blocks_b = stored_quantized(a), stored_quantized(b)
+    both_const = np.repeat(~blocks_a.stored_mask & ~blocks_b.stored_mask, lens_of[0])
+    combine = ops.add if sign > 0 else ops.subtract
+    if all(abs(v) < int(Q_LIMIT) for v in expected):
+        got = stored_quantized(combine(a, b)).expand(lens_of[0])
+        assert [int(v) for v in got] == expected
+        return
+    const_overflow = any(
+        abs(v) >= int(Q_LIMIT) for v, k in zip(expected, both_const) if k
+    )
+    context = "compressed-domain combine" + (" (constant blocks)" if const_overflow else "")
+    with pytest.raises(OperationError) as info:
+        combine(a, b)
+    assert str(info.value).startswith(f"{context} overflows the quantized integer range")

@@ -1,13 +1,17 @@
 """One-pass pointwise chains: the steps run per tile inside the encode front.
 
-``rebuild_stored`` applies a chain's ``IntAffine``/``Requantize`` steps to
-each block-aligned tile of the stored bins just before the tile is Lorenzo
-coded.  The oracle here is the whole-plane order the reductions still use
+``rebuild_stored`` runs a chain of ``IntAffine``/``Requantize`` steps in
+its exact normal form (:func:`~repro.core.ops._partial.normal_form`): the
+guards are decided up front on the view's exact bounds, signs fold into
+the multiplies, the body runs on each block-aligned tile of the stored
+bins just before the tile is Lorenzo coded, and the trailing shifts land
+on the outliers.  The oracle here is the whole-plane order
 (:func:`~repro.core.ops._partial.apply_steps`: each step over every bin,
-stored and constant, before the next step), re-encoded with no pending
-steps: the fused stream must equal its bytes, and a failing chain must
-raise its error.  A tile can trip a later step before another tile trips
-an earlier one, so the error is the one thing tiling could change.
+stored and constant, before the next step, each guard scanning what it
+produced), re-encoded with no pending steps: the fused stream must equal
+its bytes, and a failing chain must raise its error.  The eager chain
+(``apply_chain(fused=False)``) is a second oracle wherever its shift
+guards agree with the fused ones (see :func:`assert_matches_eager`).
 
 Streams are built straight from bins (``eps = 0.5`` makes a bin one unit),
 so overflows sit exactly where a test puts them.
@@ -25,8 +29,10 @@ from hypothesis import strategies as st
 from repro import SZOps, lazy, ops
 from repro.core.encode import FRONT_TILE
 from repro.core.errors import OperationError
+from repro.core.format import SZOpsCompressed
 from repro.core.moments import QuantizedMoments
-from repro.core.ops._partial import rebuild_stored, stored_quantized
+from repro.core.ops import _partial
+from repro.core.ops._partial import rebuild_stored, stored_moments, stored_quantized
 from repro.runtime import DecodedBlockCache, IntAffine, LazyStream, Requantize, use_cache
 
 EPS = 0.5
@@ -70,6 +76,43 @@ def moments_outcome(fn):
         return "ok", fn()
     except OperationError as exc:
         return "error", str(exc)
+
+
+def is_shift_error(result) -> bool:
+    return result[0] == "error" and "shift" in result[1]
+
+
+def negated_after_last_multiply(chain) -> bool:
+    """An odd number of negations follows the chain's last multiply."""
+    names = [name for name, _ in chain]
+    last = max((i for i, name in enumerate(names) if name == "scalar_multiply"), default=-1)
+    return names[last + 1 :].count("negation") % 2 == 1
+
+
+def assert_matches_eager(c, chain, fused_outcome) -> None:
+    """The fused outcome equals the eager chain's, unless a shift guard differs.
+
+    An eager add guards only the outliers it shifts (``|O| + |rho|``) and
+    names itself "scalar shift"; a fused shift guards every bin, after
+    consecutive shifts folded into one.  Everything else is the same exact
+    integer arithmetic behind the same multiply guard, so when neither
+    side tripped a shift guard the bytes or the error text must match.
+    One exception in the bytes: eager negation flips every stored sign
+    bit, zero deltas' too, while a re-encode writes a zero delta's as 0;
+    so when a negation follows the last (re-encoding) multiply, the two
+    streams are compared by their bins.
+    """
+    eager = outcome(lambda: ops.apply_chain(c, chain, fused=False))
+    if is_shift_error(eager) or is_shift_error(fused_outcome):
+        return
+    if eager[0] == fused_outcome[0] == "ok" and negated_after_last_multiply(chain):
+        bins = [
+            SZOps().decompress_quantized(SZOpsCompressed.from_bytes(data))
+            for data in (eager[1], fused_outcome[1])
+        ]
+        assert np.array_equal(*bins)
+    else:
+        assert eager == fused_outcome
 
 
 def assert_fused_matches_whole_plane(chain: LazyStream):
@@ -203,11 +246,18 @@ def test_tile_edges_and_ragged_tails(block_size, k, d):
 # property: fused == whole-plane, bytes or error, for random chains
 # ---------------------------------------------------------------------------
 
+ADDS = [1.0, -3.0, 2.0**59, -(2.0**61)]
+MULS = [0.5, -2.0, 3.0, 0.0, 2.0**20, -0.5, -1.0, -3.0]
+
+#: Runs of chain steps: single ops, plus a negate right after a multiply
+#: and a shift right before one (the pairs the normal form rewrites).
 STEP = st.one_of(
-    st.tuples(st.just("negation"), st.none()),
-    st.tuples(st.just("scalar_add"), st.sampled_from([1.0, -3.0, 2.0**59, -(2.0**61)])),
-    st.tuples(
-        st.just("scalar_multiply"), st.sampled_from([0.5, -2.0, 3.0, 0.0, 2.0**20])
+    st.just([("negation", None)]),
+    st.sampled_from(ADDS).map(lambda s: [("scalar_add", s)]),
+    st.sampled_from(MULS).map(lambda s: [("scalar_multiply", s)]),
+    st.sampled_from(MULS).map(lambda s: [("scalar_multiply", s), ("negation", None)]),
+    st.tuples(st.sampled_from(ADDS), st.sampled_from(MULS)).map(
+        lambda p: [("scalar_add", p[0]), ("scalar_multiply", p[1])]
     ),
 )
 
@@ -217,20 +267,71 @@ STEP = st.one_of(
     tiles=st.integers(min_value=0, max_value=2),
     extra=st.integers(min_value=-70, max_value=70),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    offset=st.sampled_from([0, 2**40, -(2**58), 2**60]),
-    chain=st.lists(STEP, min_size=1, max_size=4),
+    offset=st.sampled_from([0, 2**40, -(2**58), 2**60, 2**61 - 60, -(2**61) + 60]),
+    runs=st.lists(STEP, min_size=1, max_size=4),
 )
 @settings(deadline=None)
-def test_fused_matches_whole_plane(block_size, tiles, extra, seed, offset, chain):
+def test_fused_matches_whole_plane(block_size, tiles, extra, seed, offset, runs):
     n = max(1, tiles * tile_length(block_size) + extra)
     q = noisy_bins(n, seed, constant_every=3, block_size=block_size)
     q[: n // 2] += offset
-    fused = lazy(stream_of(q, block_size))
+    c = stream_of(q, block_size)
+    chain = [step for run in runs for step in run]
+    fused = lazy(c)
     for name, scalar in chain:
         fused = fused.apply(name, scalar)
     if not any(isinstance(s, Requantize) for s in fused.steps):
         fused = LazyStream(fused.base, fused.steps + (Requantize(1.0),))
-    assert_fused_matches_whole_plane(fused)
+        chain.append(("scalar_multiply", 1.0))
+    assert_matches_eager(c, chain, assert_fused_matches_whole_plane(fused))
+
+
+# ---------------------------------------------------------------------------
+# a warm chain: one multiply per bin, bounds scanned once per view
+# ---------------------------------------------------------------------------
+
+ANALYSIS_CHAIN = [("negation", None), ("scalar_multiply", 0.5), ("scalar_add", 1.0)]
+
+
+def test_warm_chain_hands_the_front_one_multiply(monkeypatch):
+    """``negate → ×0.5 → +1`` maps each tile with one signed multiply.
+
+    The sign folds into the factor and the shift lands on the outliers;
+    the view's bounds are scanned by the first forcing only, and a view
+    whose moments are known is never scanned.
+    """
+    maps, scans = [], []
+    encode_bins, scan_bounds = _partial.encode_bins, _partial._scan_bounds
+
+    def spy_encode(q, block_size, tile_map=None):
+        maps.append(tile_map)
+        return encode_bins(q, block_size, tile_map)
+
+    def spy_scan(*planes):
+        scans.append(len(planes))
+        return scan_bounds(*planes)
+
+    q = noisy_bins(2 * tile_length(64) + 37, seed=5, constant_every=3)
+    c, other = stream_of(q), stream_of(q[::-1].copy())
+    want = ops.apply_chain(c, ANALYSIS_CHAIN, fused=False).to_bytes()
+    with use_cache(DecodedBlockCache(max_bytes=1 << 30)):
+        stored_quantized(c)
+        stored_moments(other)  # the view's moments: its bounds come free
+        monkeypatch.setattr(_partial, "encode_bins", spy_encode)
+        monkeypatch.setattr(_partial, "_scan_bounds", spy_scan)
+        chain = lazy(c)
+        for name, scalar in ANALYSIS_CHAIN:
+            chain = chain.apply(name, scalar)
+        assert chain.steps[0] == IntAffine(-1, 0)  # recorded as called
+        first, second = chain.to_bytes(), chain.to_bytes()
+        assert len(scans) == 1
+        lazy(other).negate().scalar_multiply(0.5).scalar_add(1.0).to_bytes()
+        assert len(scans) == 1
+    assert first == second == want
+    assert len(maps) == 3
+    for tile_map in maps:
+        (step,) = tile_map.steps
+        assert isinstance(step, Requantize) and step.s_rep < 0
 
 
 # ---------------------------------------------------------------------------
