@@ -38,7 +38,6 @@ from repro.cluster.hashring import NodeInfo, ShardMap, hash_point
 from repro.cluster.membership import HeartbeatMonitor, ProbeState
 from repro.cluster.node import ClusterNode, NodeConfig, local_cluster
 from repro.cluster.router import (
-    CLUSTER_REDUCTIONS,
     ClusterClient,
     ClusterError,
     Manifest,
@@ -61,7 +60,6 @@ __all__ = [
     "ClusterError",
     "NoLiveOwner",
     "Manifest",
-    "CLUSTER_REDUCTIONS",
     "combine_moments",
     "finish_reduction",
     "HeartbeatMonitor",

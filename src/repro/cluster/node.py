@@ -151,12 +151,13 @@ class ClusterNode(ServiceServer):
         chain = _fuse(entry.container, request.steps)
         moments = self._memo_moments(chain)
         if moments is None:
+            backend = self.backend
             delay = self.config.debug_delay_s
 
             def compute() -> QuantizedMoments:
                 if delay:
                     time.sleep(delay)
-                return chain.quantized_moments()
+                return chain.quantized_moments(executor=backend)
 
             loop = asyncio.get_running_loop()
             moments = await loop.run_in_executor(self.pool, compute)

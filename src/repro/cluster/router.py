@@ -45,6 +45,7 @@ from repro.cluster.chunking import chunk_key, merge_containers, split_container
 from repro.cluster.hashring import NodeInfo, ShardMap
 from repro.core.format import SZOpsCompressed
 from repro.core.moments import QuantizedMoments
+from repro.core.ops.dispatch import CHAIN_REDUCTIONS
 from repro.service.client import (
     ConnectionLost,
     RemoteError,
@@ -64,9 +65,6 @@ __all__ = [
     "combine_moments",
     "finish_reduction",
 ]
-
-#: Reductions the router can finish from one moment tuple.
-CLUSTER_REDUCTIONS = ("mean", "variance", "std", "minimum", "maximum")
 
 #: Connection-level failures that trigger replica failover on reads and
 #: rebalance-and-retry on writes.
@@ -95,13 +93,6 @@ class Manifest:
         return [chunk_key(self.name, i) for i in range(self.n_chunks)]
 
 
-def _check_reduction(reduction: str) -> None:
-    if reduction not in CLUSTER_REDUCTIONS:
-        raise ClusterError(
-            f"unknown reduction {reduction!r}; valid: {', '.join(CLUSTER_REDUCTIONS)}"
-        )
-
-
 def combine_moments(partials: list[Moments]) -> Moments:
     """Add per-chunk moments into whole-array moments (exact integers).
 
@@ -124,9 +115,9 @@ def finish_reduction(reduction: str, m: Moments) -> float:
     """Scale combined quantized moments into the requested scalar.
 
     The same :meth:`QuantizedMoments.finish` every single-node reduction
-    runs, on the same exact sums, hence bit-identical.
+    runs, on the same exact sums, hence bit-identical; it also refuses
+    an unknown ``reduction``.
     """
-    _check_reduction(reduction)
     if m.moments.n <= 0:
         raise ClusterError("cannot reduce an empty array")
     return m.moments.finish(reduction, m.eps)
@@ -440,7 +431,10 @@ class ClusterClient:
 
     def reduce(self, name: str, reduction: str, chain: Any = ()) -> float:
         """Distributed reduction (see module docstring for exactness)."""
-        _check_reduction(reduction)  # before any round trip
+        if reduction not in CHAIN_REDUCTIONS:  # before any round trip
+            raise ClusterError(
+                f"unknown reduction {reduction!r}; valid: {', '.join(CHAIN_REDUCTIONS)}"
+            )
         return finish_reduction(reduction, self.preduce(name, chain))
 
     # ------------------------------------------------------------------ observability

@@ -36,12 +36,15 @@ from repro.core.format import SZOpsCompressed
 from repro.core.lorenzo import lorenzo_inverse
 from repro.core.moments import QuantizedMoments
 from repro.core.quantize import Q_LIMIT
+from repro.parallel.backends import ExecutionBackend
+from repro.parallel.partition import even_ranges
 
 __all__ = [
     "Q_LIMIT",
     "StoredBlocks",
     "stored_quantized",
     "stored_moments",
+    "stored_bounds",
     "decode_stored_blocks",
     "ensure_quantized_range",
     "range_overflow",
@@ -50,6 +53,7 @@ __all__ = [
     "Step",
     "apply_steps",
     "normal_form",
+    "tiled_moments",
     "transformed_moments",
     "rebuild_stored",
 ]
@@ -157,6 +161,23 @@ def stored_moments(c: SZOpsCompressed) -> QuantizedMoments:
     return cache.get_moments(c)
 
 
+def stored_bounds(c: SZOpsCompressed) -> tuple[int, int] | None:
+    """Exact ``(min, max)`` of ``c``'s bins; ``None`` when it has none.
+
+    Read off the moments memo when ``c`` has a valid one
+    (:func:`stored_moments`), else off the decoded view
+    (:attr:`StoredBlocks.bounds`), which decodes through the cache.
+    """
+    from repro.runtime.cache import MemoMiss, memo_only
+
+    try:
+        with memo_only():
+            moments = stored_moments(c)
+    except MemoMiss:
+        return stored_quantized(c).bounds
+    return (moments.lo, moments.hi) if moments.n else None
+
+
 def decode_stored_blocks(c: SZOpsCompressed) -> StoredBlocks:
     """Decode only the non-constant blocks of ``c`` to quantized integers."""
     c.validate_structure()
@@ -230,9 +251,10 @@ class IntAffine:
     def bounds_after(self, lo: int, hi: int) -> tuple[int, int]:
         """The step's guard on bins in ``[lo, hi]``, and their exact new bounds.
 
-        The shift_outliers guard: a fused chain can accumulate a shift the
-        eager path would have rejected step by step, so ``|q| + |shift|``
-        must stay below ``Q_LIMIT`` (``|sigma*q|`` is ``|q|``).
+        The eager shift's guard (``shift_outliers``) on the exact bins: a
+        fused chain can accumulate a shift the eager path would have
+        rejected step by step, so ``|q| + |shift|`` must stay below
+        ``Q_LIMIT`` (``|sigma*q|`` is ``|q|``).
         """
         shift = int(self.shift)
         if abs(shift) >= int(Q_LIMIT) or max(hi, -lo) + abs(shift) >= int(Q_LIMIT):
@@ -432,34 +454,72 @@ class _TileMap:
         return q
 
 
-def transformed_moments(
-    blocks: StoredBlocks, steps: tuple[Step, ...]
+def tiled_moments(
+    x: np.ndarray, body: tuple[Step, ...], counts: np.ndarray | None = None
 ) -> QuantizedMoments:
-    """Exact moments of ``blocks`` after ``steps``, one tile at a time.
+    """Exact moments of ``x`` after a normal form's ``body``, one tile at a time.
+
+    ``x[i]`` counts ``counts[i]`` times (once when ``None``).  The body
+    runs in reused tile-sized buffers, so the memory this takes does not
+    grow with ``x``.
+    """
+    tile_map = _TileMap(body)
+    return QuantizedMoments.combine(
+        QuantizedMoments.of_values(
+            tile_map(x[lo : lo + FRONT_TILE]),
+            None if counts is None else counts[lo : lo + FRONT_TILE],
+        )
+        for lo in range(0, x.size, FRONT_TILE)
+    )
+
+
+def transformed_moments(
+    blocks: StoredBlocks,
+    steps: tuple[Step, ...],
+    executor: ExecutionBackend | None = None,
+) -> QuantizedMoments:
+    """Exact moments of ``blocks`` after ``steps``: what every reduction of a chain reads.
 
     Equal to ``QuantizedMoments.of`` of the whole transformed view (the
-    sums are exact integers, so tiling cannot change them).  The chain
-    runs in its :func:`normal_form`: the body over both planes in reused
-    tile-sized buffers, so the memory this takes does not grow with the
-    stream, and the tail shifts the moments.  A failing guard raises the
-    error of the whole-plane order (:func:`apply_steps`).
+    sums are exact integers, so neither tiles nor chunks can change
+    them).  The chain runs in its :func:`normal_form`, so a failing guard
+    raises the error of the whole-plane order (:func:`apply_steps`)
+    before any bin is touched, on every backend.  The body maps both
+    planes tile by tile (:func:`tiled_moments`) and the tail shifts the
+    moments.  With an ``executor`` the stored bins are summed as
+    :meth:`~repro.parallel.backends.ExecutionBackend.run_kernel` chunks
+    (:func:`~repro.parallel.kernels.reduce_moments_chunk`, each tiled the
+    same way); the constant plane is O(n_blocks) and stays here.
     """
     body, tail = normal_form(steps, blocks)
-    tile_map = _TileMap(body)
-
-    def tiled(x: np.ndarray, counts: np.ndarray | None = None) -> QuantizedMoments:
-        return QuantizedMoments.combine(
-            QuantizedMoments.of_values(
-                tile_map(x[lo : lo + FRONT_TILE]),
-                None if counts is None else counts[lo : lo + FRONT_TILE],
-            )
-            for lo in range(0, x.size, FRONT_TILE)
-        )
-
-    moments = tiled(blocks.q) + tiled(blocks.const_outliers, blocks.const_lens)
+    if executor is None:
+        moments = tiled_moments(blocks.q, body)
+    else:
+        moments = _chunked_moments(blocks.q, body, executor)
+    moments += tiled_moments(blocks.const_outliers, body, blocks.const_lens)
     for shift in tail:
         moments = _affine_moments(moments, 1, shift)
     return moments
+
+
+def _chunked_moments(
+    q: np.ndarray, body: tuple[Step, ...], executor: ExecutionBackend
+) -> QuantizedMoments:
+    """``tiled_moments(q, body)`` summed as ``executor`` chunks."""
+    # The kernels module imports this one.
+    from repro.parallel import kernels
+
+    if not isinstance(executor, ExecutionBackend):
+        raise TypeError(
+            f"executor must be an ExecutionBackend or None, "
+            f"got {type(executor).__name__}"
+        )
+    chunks = [
+        {"lo": lo, "hi": hi, "steps": body}
+        for lo, hi in even_ranges(q.size, executor.n_workers)
+    ]
+    run = executor.run_kernel(kernels.reduce_moments_chunk, {"q": q}, chunks)
+    return QuantizedMoments.combine(run.results)
 
 
 def rebuild_stored(

@@ -292,8 +292,8 @@ def apply_chain(
     entirely.  ``fused=False`` replays the exact same chain eagerly, one
     operation at a time (the pre-runtime behavior; results are identical).
     ``executor`` (an :class:`~repro.parallel.backends.ExecutionBackend`)
-    runs a fused terminal mean/variance/std as chunked partial moments on
-    that backend; ``None`` sums them inline.
+    runs a fused terminal reduction as chunked partial moments on that
+    backend; ``None`` sums them inline.
     """
     normalized = normalize_chain(steps)
     if not fused:
@@ -310,8 +310,6 @@ def apply_chain(
     chain = LazyStream(c)
     for name, scalar in normalized:
         if name in CHAIN_REDUCTIONS:
-            if name in ("minimum", "maximum"):
-                return getattr(chain, name)()
             return getattr(chain, name)(executor=executor)
         chain = chain.apply(name, scalar)
     return chain.materialize()

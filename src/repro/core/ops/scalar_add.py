@@ -29,8 +29,8 @@ from dataclasses import replace
 
 from repro.core.errors import OperationError
 from repro.core.format import SZOpsCompressed
-from repro.core.ops._partial import ensure_quantized_range
-from repro.core.quantize import dequantize_scalar, quantize_scalar
+from repro.core.ops._partial import IntAffine, range_overflow, stored_bounds
+from repro.core.quantize import Q_LIMIT, dequantize_scalar, quantize_scalar
 
 __all__ = [
     "scalar_add",
@@ -64,18 +64,41 @@ def quantized_scalar_shift(s: float, eps: float) -> tuple[int, float]:
 
 
 def shift_outliers(c: SZOpsCompressed, rho: int) -> SZOpsCompressed:
-    """``c`` with its outlier plane shifted by ``rho`` bins, guarding int64 overflow.
+    """``c`` with its outlier plane shifted by ``rho`` bins, guarding the bin range.
 
-    The outlier plane holds quantized first values, guarded to
-    ``|q| < Q_LIMIT`` at compression time; an unchecked shift by a huge
-    quantized scalar could wrap int64 and decode to a valid-looking stream
-    representing garbage.  The widths, signs and payload are shared with
-    ``c``.  Shared by the eager kernels below and the lazy fusion runtime
-    so both paths fail identically.
+    Every bin moves by ``rho``, so ``|q| + |rho| < Q_LIMIT`` must hold for
+    all of them, not just the outliers: past the guard band int64 wraps
+    (here or in the next op's Lorenzo deltas) and the stream decodes to
+    garbage.  The guard refuses exactly what a fused shift
+    (:meth:`~repro.core.ops._partial.IntAffine.bounds_after`) refuses on
+    the exact bins, but reads them only when :func:`_clears` cannot vouch
+    for the shift from the outlier and width planes alone.  The widths,
+    signs and payload are shared with ``c``.  Shared by the eager kernels
+    below and the lazy fusion runtime so both paths fail identically.
     """
     if not rho:
         return c
-    return replace(c, outliers=ensure_quantized_range(c.outliers, "scalar shift", rho))
+    if not _clears(c, rho):
+        lo, hi = stored_bounds(c) or (0, 0)
+        if max(hi, -lo) + abs(rho) >= int(Q_LIMIT):
+            raise range_overflow("scalar shift")
+    return replace(c, outliers=IntAffine(1, rho).transform(c.outliers))
+
+
+def _clears(c: SZOpsCompressed, rho: int) -> bool:
+    """Whether every bin of ``c`` provably stays in range after ``+ rho``.
+
+    A block's bins are its outlier plus a prefix sum of at most
+    ``block_size`` deltas below ``2^w`` each, so ``max|O|`` plus
+    ``block_size·2^max(w)`` bounds them all: O(n_blocks) in exact ints,
+    with no payload byte read.  ``False`` only means the bound is not
+    enough to decide.
+    """
+    outliers = c.outliers
+    if not outliers.size:
+        return abs(rho) < int(Q_LIMIT)
+    peak = max(int(outliers.max()), -int(outliers.min())) + abs(rho)
+    return peak < int(Q_LIMIT) - (int(c.block_size) << int(c.widths.max()))
 
 
 def scalar_add(c: SZOpsCompressed, s: float) -> SZOpsCompressed:

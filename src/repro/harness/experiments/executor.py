@@ -376,7 +376,7 @@ def _run_pipeline_cell(
     from repro.core.ops.dispatch import apply_chain
     from repro.core.validate import bound_slack
     from repro.parallel.backends import get_backend
-    from repro.runtime.reduce import parallel_mean, parallel_variance
+    from repro.runtime.lazy import lazy
 
     f = cell.factors
     dataset = str(f["dataset"])
@@ -426,9 +426,10 @@ def _run_pipeline_cell(
     finally:
         codec.close()
 
+    view = lazy(stream)
     with get_backend(backend, workers) as be:
         best_r, reduce_reps, (mu, var) = _best_and_reps(
-            lambda: (parallel_mean(stream, be), parallel_variance(stream, be)),
+            lambda: (view.mean(executor=be), view.variance(executor=be)),
             repeats,
         )
     same_reduce = (mu, var) == ctx.serial_reduce(dataset, eps)

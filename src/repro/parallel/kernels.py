@@ -23,6 +23,7 @@ import numpy as np
 from repro.bitstream import BitpackKernel, resolve_kernel
 from repro.core.encode import decode_block_sections, encode_block_sections
 from repro.core.moments import QuantizedMoments
+from repro.core.ops._partial import tiled_moments
 
 __all__ = [
     "encode_chunk",
@@ -105,5 +106,11 @@ def decode_chunk(arrays: dict[str, np.ndarray], chunk: dict[str, Any]) -> int:
 def reduce_moments_chunk(
     arrays: dict[str, np.ndarray], chunk: dict[str, Any]
 ) -> QuantizedMoments:
-    """Exact moments of ``q[lo:hi]`` (combined by the caller)."""
-    return QuantizedMoments.of_values(arrays["q"][chunk["lo"] : chunk["hi"]])
+    """Exact moments of ``q[lo:hi]`` after the chunk's ``steps`` (combined by the caller).
+
+    ``steps`` is a chain's normal-form body
+    (:func:`~repro.core.ops._partial.transformed_moments`), none when
+    absent; the slice is mapped and summed one tile at a time.
+    """
+    q = arrays["q"][chunk["lo"] : chunk["hi"]]
+    return tiled_moments(q, chunk.get("steps", ()))

@@ -1,6 +1,6 @@
 """Lazy op-fusion runtime: decoded-block caching + fused scalar-op chains.
 
-Three cooperating pieces turn chains of compressed-domain operations from
+Two cooperating pieces turn chains of compressed-domain operations from
 N decodes into one:
 
 * :mod:`repro.runtime.cache` — a process-wide LRU of decoded
@@ -9,11 +9,9 @@ N decodes into one:
 * :mod:`repro.runtime.lazy` — :class:`LazyStream`, which composes negation
   and scalar add/sub/mul into a pending ``(a·x + b)``-style transform that
   is materialized into the quantized domain only when a reduction or
-  serialization forces it.
-* :mod:`repro.runtime.reduce` — chunked parallel reductions that run
-  block partial moments as ``run_kernel`` chunks on an
-  :class:`~repro.parallel.backends.ExecutionBackend`, with the
-  constant-block closed forms kept intact.
+  serialization forces it.  Its reductions take an ``executor=`` (an
+  :class:`~repro.parallel.backends.ExecutionBackend`) to sum the stored
+  bins as ``run_kernel`` chunks.
 
 See ``docs/FORMAT.md`` ("Runtime fusion semantics") for the laziness and
 cache-key contract, and ``repro experiment run runtime-fusion`` for the
@@ -31,15 +29,6 @@ from repro.runtime.cache import (
     use_cache,
 )
 from repro.runtime.lazy import IntAffine, LazyStream, Requantize, lazy
-from repro.runtime.reduce import (
-    chunked_moments,
-    parallel_maximum,
-    parallel_mean,
-    parallel_minimum,
-    parallel_std,
-    parallel_summary_statistics,
-    parallel_variance,
-)
 
 __all__ = [
     "DecodedBlockCache",
@@ -54,11 +43,4 @@ __all__ = [
     "IntAffine",
     "Requantize",
     "lazy",
-    "chunked_moments",
-    "parallel_mean",
-    "parallel_variance",
-    "parallel_std",
-    "parallel_summary_statistics",
-    "parallel_minimum",
-    "parallel_maximum",
 ]

@@ -41,9 +41,10 @@ Materialization strategy:
   :meth:`maximum`) skip the re-encode entirely: they take the exact
   :class:`~repro.core.moments.QuantizedMoments` of the transformed
   blocks, so ``k`` scalar ops + reduction cost one decode and zero
-  encodes.  Without an ``executor`` those moments are summed tile by
-  tile as the steps run (:func:`~repro.core.ops._partial.transformed_moments`),
-  so no transformed plane is ever made in full.  A trailing
+  encodes.  Those moments are summed tile by tile as the steps run
+  (:func:`~repro.core.ops._partial.transformed_moments`), inline or, with
+  an ``executor``, in each of its chunks, so no transformed plane is ever
+  made in full.  A trailing
   negate/add/sub run maps moments to moments exactly,
   so it costs no pass over the data at all: without a multiply, and with
   no ``executor``, the chain reads the base stream's memoised moments
@@ -79,7 +80,6 @@ from repro.core.ops.scalar_add import quantized_scalar_shift, shift_outliers
 from repro.core.ops.scalar_mul import quantized_factor
 from repro.core.quantize import dequantize
 from repro.parallel.backends import ExecutionBackend
-from repro.runtime.reduce import chunked_moments
 
 __all__ = ["LazyStream", "IntAffine", "Requantize", "lazy"]
 
@@ -228,9 +228,7 @@ class LazyStream:
             # base stream's memoised sums serve a negate/add/sub suffix.
             inner = LazyStream(self.base, steps[:-1])._moments(executor)
             return steps[-1].apply_moments(inner)
-        if executor is None:
-            return transformed_moments(stored_quantized(self.base), steps)
-        return chunked_moments(self._transformed_blocks(), executor)
+        return transformed_moments(stored_quantized(self.base), steps, executor)
 
     def mean(self, executor: ExecutionBackend | None = None) -> float:
         """Mean of the transformed stream — one decode, no encode."""
@@ -246,13 +244,17 @@ class LazyStream:
         """Standard deviation of the transformed stream."""
         return self._moments(executor).finish("std", self.base.eps, ddof)
 
-    def minimum(self) -> float:
-        return self._moments().finish("minimum", self.base.eps)
+    def minimum(self, executor: ExecutionBackend | None = None) -> float:
+        """Smallest value of the transformed stream."""
+        return self._moments(executor).finish("minimum", self.base.eps)
 
-    def maximum(self) -> float:
-        return self._moments().finish("maximum", self.base.eps)
+    def maximum(self, executor: ExecutionBackend | None = None) -> float:
+        """Largest value of the transformed stream."""
+        return self._moments(executor).finish("maximum", self.base.eps)
 
-    def quantized_moments(self) -> QuantizedMoments:
+    def quantized_moments(
+        self, executor: ExecutionBackend | None = None
+    ) -> QuantizedMoments:
         """Exact quantized moments of the transformed stream.
 
         Everything stays in the *quantized integer* domain — no ``2*eps``
@@ -261,7 +263,7 @@ class LazyStream:
         ``repro.cluster`` combine per-shard PREDUCE replies into a result
         bit-identical to a single-node reduction.
         """
-        return self._moments()
+        return self._moments(executor)
 
     def summary_statistics(
         self, ddof: int = 0, executor: ExecutionBackend | None = None

@@ -136,15 +136,6 @@ def _materialize_chain(
     return _fuse(container, steps).materialize()
 
 
-def _reduce_chain(
-    chain: LazyStream, reduction: str, executor: ExecutionBackend | None
-) -> float:
-    """Fused pointwise prefix + reduction, entirely in the quantized domain."""
-    if reduction in ("minimum", "maximum"):
-        return float(getattr(chain, reduction)())
-    return float(getattr(chain, reduction)(executor=executor))
-
-
 def _validate_pointwise(steps: tuple[Step, ...]) -> None:
     """Reject OP chains that are not purely fusable pointwise operations."""
     if not steps:
@@ -481,7 +472,7 @@ class ServiceServer:
         def compute() -> float:
             if delay:
                 time.sleep(delay)
-            return _reduce_chain(chain, request.reduction, backend)
+            return getattr(chain, request.reduction)(executor=backend)
 
         if self.config.batching:
             fingerprint = entry.container.content_fingerprint()

@@ -183,3 +183,30 @@ def test_inline_error_matches_the_pool_error(node_factory, endpoint):
     assert jobs == [0, 1]
     assert messages[0] == messages[1]
     assert "overflows the quantized integer range" in messages[0]
+
+
+@pytest.mark.parametrize(
+    "chain", [[], ["negation", "scalar_multiply=0.5"]], ids=["plain", "multiply"]
+)
+def test_cold_preduce_runs_on_the_chunked_backend(node_factory, compressed, chain):
+    """PREDUCE sums its chunks on the node's backend, as REDUCE does."""
+    plain_client, _ = node_factory()
+    want = plain_client.preduce("U", chain=chain).moments
+    node = ClusterNode(NodeConfig(n_workers=2))
+    kernels: list[str] = []
+    run_kernel = node.backend.run_kernel
+
+    def spy(kernel, *args, **kwargs):
+        kernels.append(kernel.__name__)
+        return run_kernel(kernel, *args, **kwargs)
+
+    node.backend.run_kernel = spy  # type: ignore[method-assign]
+    handle = ThreadedServer(server=node).start()
+    try:
+        with ServiceClient(handle.host, handle.port) as client:
+            client.put("U", compressed.to_bytes())
+            got = client.preduce("U", chain=chain).moments
+    finally:
+        handle.stop()
+    assert kernels == ["reduce_moments_chunk"]
+    assert got == want == local_chain(compressed, chain).quantized_moments()

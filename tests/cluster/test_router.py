@@ -13,12 +13,12 @@ import pytest
 
 from repro import SZOps
 from repro.cluster import (
-    CLUSTER_REDUCTIONS,
     ClusterError,
     combine_moments,
     finish_reduction,
 )
 from repro.core.moments import QuantizedMoments
+from repro.core.ops import CHAIN_REDUCTIONS
 from repro.datasets import dataset_names, generate_fields
 from repro.runtime.lazy import LazyStream
 from repro.service.protocol import Moments
@@ -92,7 +92,7 @@ class TestDistributedReduceIdentity:
         single = LazyStream(c)
         router, _handles = cluster_factory(n_nodes=3, replicas=2)
         router.put(name, c, chunks=6)
-        for reduction in CLUSTER_REDUCTIONS:
+        for reduction in CHAIN_REDUCTIONS:
             got = router.reduce(name, reduction)
             want = float(getattr(single, reduction)())
             assert got == want, f"{dataset}/{name} {reduction}: {got} != {want}"
@@ -121,7 +121,7 @@ class TestDistributedReduceIdentity:
         router.put("U", compressed)
         with pytest.raises(ClusterError, match="unknown reduction"):
             router.reduce("U", "median")
-        assert set(CLUSTER_REDUCTIONS) == {
+        assert set(CHAIN_REDUCTIONS) == {
             "mean", "variance", "std", "minimum", "maximum",
         }
 

@@ -38,25 +38,10 @@ from repro.parallel import (
     get_backend,
     run_spmd,
 )
-from repro.runtime import (
-    LazyStream,
-    parallel_maximum,
-    parallel_mean,
-    parallel_minimum,
-    parallel_std,
-    parallel_summary_statistics,
-    parallel_variance,
-)
+from repro.runtime import LazyStream
 from repro.service.protocol import Moments
 
 REDUCTIONS = ("mean", "variance", "std", "minimum", "maximum")
-PARALLEL = {
-    "mean": parallel_mean,
-    "variance": parallel_variance,
-    "std": parallel_std,
-    "minimum": parallel_minimum,
-    "maximum": parallel_maximum,
-}
 LIMIT = int(Q_LIMIT) - 1
 #: Error bounds at both ends of ``valid_eps`` plus ordinary ones.
 EPS_EDGES = (5e-324, 1e-300, 1e-4, 0.5, sys.float_info.max / 2)
@@ -220,7 +205,7 @@ def assert_every_path_exact(c, q, n_parts, backends, cluster) -> None:
         "lazy": {r: getattr(lazy(c), r)() for r in REDUCTIONS},
     }
     for name, be in backends.items():
-        got[name] = {r: PARALLEL[r](c, be) for r in REDUCTIONS}
+        got[name] = {r: getattr(lazy(c), r)(executor=be) for r in REDUCTIONS}
 
     parts = split_container(c, n_parts)
     combined = combine_moments(
@@ -334,7 +319,9 @@ def test_motivation_reproduction_is_exact_on_every_path(backends, cluster):
     [
         lambda c, ddof: ops.summary_statistics(c, ddof=ddof),
         lambda c, ddof: lazy(c).summary_statistics(ddof=ddof),
-        lambda c, ddof: parallel_summary_statistics(c, SerialBackend(2), ddof=ddof),
+        lambda c, ddof: lazy(c).summary_statistics(
+            ddof=ddof, executor=SerialBackend(2)
+        ),
         lambda c, ddof: ops.variance(c, ddof=ddof),
     ],
     ids=["ops", "lazy", "parallel", "variance"],

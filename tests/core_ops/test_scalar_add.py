@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SZOps, ops
+from repro import SZOps, lazy, ops
 from repro.core.errors import OperationError
+from repro.core.ops import _partial
 from repro.core.ops.scalar_add import quantized_scalar_shift
+from repro.core.quantize import Q_LIMIT
+from repro.runtime import cache as cache_module
+from repro.runtime import clear_cache
 
 
 class TestScalarAdd:
@@ -92,3 +96,77 @@ class TestQuantizedShift:
         rho, rep = quantized_scalar_shift(0.67, 0.01)
         assert abs(rep - 0.67) <= 0.01 + 1e-12
         assert rho == 34
+
+
+def _bins_stream(q, block_size=64):
+    """A stream straight from bins at eps 0.5, where ``s`` quantizes to ``s``."""
+    q = np.asarray(q, dtype=np.int64)
+    codec = SZOps(block_size=block_size)
+    return codec.encode_quantized(q, q.shape, np.dtype(np.float64), 0.5)
+
+
+def _raises(fn) -> bool:
+    try:
+        fn()
+    except OperationError:
+        return True
+    return False
+
+
+class TestShiftGuard:
+    """A shift is refused when any bin, not just an outlier, leaves the range."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: ops.scalar_add(c, 100),
+            lambda c: lazy(c).scalar_add(100).materialize(),
+            lambda c: lazy(c).scalar_add(100).maximum(),
+            lambda c: lazy(c).scalar_add(100).scalar_multiply(1).maximum(),
+        ],
+        ids=["eager", "materialize", "maximum", "fused"],
+    )
+    def test_stored_bin_past_the_limit_is_refused_everywhere(self, call):
+        q = np.zeros(64, dtype=np.int64)
+        q[1] = int(Q_LIMIT) - 10  # the outlier is 0; a stored bin is at the edge
+        with pytest.raises(OperationError, match="overflows"):
+            call(_bins_stream(q))
+
+    def test_bound_that_clears_reads_no_payload(self, codec, smooth_1d, monkeypatch):
+        decodes = []
+
+        def counted(c):
+            decodes.append(c)
+            return _partial.decode_stored_blocks(c)
+
+        monkeypatch.setattr(cache_module, "decode_stored_blocks", counted)
+        c = codec.compress(smooth_1d, 1e-3)
+        clear_cache()
+        out = ops.scalar_subtract(ops.scalar_add(c, 1e6), 3.5)
+        lazy(c).negate().scalar_add(2.0).materialize()
+        assert decodes == []
+        assert np.array_equal(out.payload_bytes, c.payload_bytes)
+
+    @given(
+        gap=st.integers(min_value=1, max_value=2**40),
+        delta=st.integers(min_value=-3, max_value=3),
+        negative_peak=st.booleans(),
+        negate=st.booleans(),
+        subtract=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_materialize_refuses_what_maximum_refuses(
+        self, gap, delta, negative_peak, negate, subtract
+    ):
+        q = np.arange(-100, 100, dtype=np.int64)
+        peak = int(Q_LIMIT) - gap
+        q[70] = -peak if negative_peak else peak  # inside a stored block
+        c = _bins_stream(q)
+        shift = float(max(gap + delta, 1))
+        chain = lazy(c).negate() if negate else lazy(c)
+        chain = chain.scalar_subtract(shift) if subtract else chain.scalar_add(shift)
+        refused = _raises(chain.maximum)
+        assert _raises(chain.materialize) == refused
+        if not negate:
+            eager = ops.scalar_subtract if subtract else ops.scalar_add
+            assert _raises(lambda: eager(c, shift)) == refused

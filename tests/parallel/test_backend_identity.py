@@ -4,22 +4,25 @@ Serial, thread, and process execution share one chunking and one kernel
 set, so compressed streams must be *byte-identical* and reductions
 *float-identical* across backends — not merely close.  These tests pin
 that down on the awkward geometries: ragged final blocks, all-constant
-streams, and worker counts that do not divide the block count.
+streams, and worker counts that do not divide the block count.  Every
+reduction of every chain runs through one seam
+(:func:`~repro.core.ops._partial.transformed_moments`), so a chain's
+reductions must equal the inline ones on every backend, and a failing
+guard must fail alike.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.compressor import SZOps
+from repro.core.errors import OperationError
+from repro.core.quantize import Q_LIMIT
 from repro.parallel.backends import available_backends, get_backend
-from repro.runtime.reduce import (
-    parallel_mean,
-    parallel_std,
-    parallel_summary_statistics,
-    parallel_variance,
-)
+from repro.runtime import cache_disabled, lazy
 
 EPS = 1e-4
 
@@ -120,12 +123,13 @@ class TestReductionIdentity:
             seen = []
             for backend in BACKENDS:
                 with get_backend(backend, workers) as be:
+                    view = lazy(c)
                     seen.append(
                         (
-                            parallel_mean(c, be),
-                            parallel_variance(c, be),
-                            parallel_std(c, be),
-                            tuple(sorted(parallel_summary_statistics(c, be).items())),
+                            view.mean(executor=be),
+                            view.variance(executor=be),
+                            view.std(executor=be),
+                            tuple(sorted(view.summary_statistics(executor=be).items())),
                         )
                     )
             assert seen[0] == seen[1] == seen[2], f"workers={workers}"
@@ -136,4 +140,114 @@ class TestReductionIdentity:
         codec = SZOps(block_size=64)
         c = codec.compress(fields["smooth"], EPS)
         with get_backend("processes", 2) as be:
-            assert parallel_mean(c, be) == ops.mean(c)
+            assert lazy(c).mean(executor=be) == ops.mean(c)
+
+
+#: Chains over every normal-form shape: a lone sign, multiplies by
+#: ``s > 0``, ``s < 0`` and ``s = 0``, signs folded into a multiply, and a
+#: trailing shift after the last multiply.
+CHAINS = {
+    "plain": [],
+    "negate": [("negation", None)],
+    "shift": [("scalar_add", 0.125)],
+    "times-half": [("scalar_multiply", 0.5)],
+    "times-negative": [("scalar_multiply", -0.75)],
+    "times-zero": [("scalar_multiply", 0.0)],
+    "negate-times-add": [
+        ("negation", None),
+        ("scalar_multiply", 2.5),
+        ("scalar_add", 0.3),
+    ],
+    "times-subtract": [("scalar_multiply", 0.5), ("scalar_subtract", 1.25)],
+    "add-times-negate": [
+        ("scalar_add", 0.01),
+        ("scalar_multiply", 1.5),
+        ("negation", None),
+    ],
+}
+
+
+def _chain(c, steps):
+    view = lazy(c)
+    for name, scalar in steps:
+        view = view.apply(name, scalar)
+    return view
+
+
+def _reduce_all(view, executor=None):
+    """Every reduction of ``view``, plus its summary statistics."""
+    out = {
+        r: getattr(view, r)(executor=executor)
+        for r in ("mean", "variance", "std", "minimum", "maximum")
+    }
+    out["summary"] = view.summary_statistics(executor=executor)
+    return out
+
+
+def _error_of(fn):
+    try:
+        fn()
+    except OperationError as exc:
+        return str(exc)
+    raise AssertionError("expected an OperationError")
+
+
+class TestChainReductionIdentity:
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_every_reduction_of_every_chain(self, fields, workers):
+        codec = SZOps(block_size=64)
+        streams = {name: codec.compress(arr, EPS) for name, arr in fields.items()}
+        for backend in BACKENDS:
+            with get_backend(backend, workers) as be:
+                for field, c in streams.items():
+                    for label, steps in CHAINS.items():
+                        view = _chain(c, steps)
+                        want = _reduce_all(view)
+                        got = _reduce_all(view, be)
+                        assert got == want, f"{backend}@{workers} {field}/{label}"
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [("scalar_multiply", 4.0)],
+            [("negation", None), ("scalar_add", 2e6), ("scalar_multiply", 1.0)],
+            [("scalar_multiply", 1.0), ("scalar_add", 2e6)],
+            [("scalar_subtract", 2e6)],
+        ],
+        ids=["multiply", "shift-before-multiply", "trailing-shift", "shift-only"],
+    )
+    def test_failing_guard_raises_alike(self, steps):
+        q = np.arange(-300, 300, dtype=np.int64)
+        # One stored bin 2^20 below the range's edge (exact in float64):
+        # x4 or a 2e6-bin shift takes it past Q_LIMIT, x1 does not.
+        q[-70] = int(Q_LIMIT) - 2**20
+        c = SZOps(block_size=64).encode_quantized(q, q.shape, np.dtype(np.float64), 0.5)
+        view = _chain(c, steps)
+        want = _error_of(view.mean)
+        assert "overflows the quantized integer range" in want
+        for backend in BACKENDS:
+            with get_backend(backend, 2) as be:
+                for r in ("mean", "minimum", "summary_statistics"):
+                    got = _error_of(lambda: getattr(view, r)(executor=be))
+                    assert got == want, f"{backend} {r}"
+
+
+def test_chunked_chain_builds_no_transformed_plane():
+    """A chunked multiply-chain mean costs no more memory than the inline one."""
+    walk = np.cumsum(np.random.default_rng(7).normal(size=1_600_000))
+    c = SZOps().compress(walk.astype(np.float32), 1e-3)
+    view = lazy(c).scalar_multiply(0.5)
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with cache_disabled(), get_backend("serial", 2) as be:
+        inline = peak(view.mean)
+        chunked = peak(lambda: view.mean(executor=be))
+        assert view.mean(executor=be) == view.mean()
+    assert chunked <= inline + (1 << 20), (inline, chunked)

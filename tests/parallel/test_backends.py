@@ -23,7 +23,7 @@ from repro.parallel.backends import (
 )
 from repro.parallel.kernels import reduce_moments_chunk
 from repro.parallel.partition import even_ranges
-from repro.runtime.reduce import parallel_mean
+from repro.runtime import lazy
 
 # Chunk kernels live at module level so the process backend can pickle them.
 
@@ -140,7 +140,7 @@ class TestRunKernel:
                 return super().run_kernel(kernel, arrays, chunks, out_specs)
 
         c = codec.compress(smooth_1d, 1e-3)
-        parallel_mean(c, Recording(4))
+        lazy(c).mean(executor=Recording(4))
         assert seen == [even_ranges(stored_quantized(c).q.size, 4)]
 
 

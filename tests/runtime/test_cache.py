@@ -26,7 +26,6 @@ from repro.runtime import (
 )
 from repro.runtime import cache as cache_module
 from repro.runtime.cache import MemoMiss, memo_only
-from repro.runtime.reduce import parallel_summary_statistics
 
 REDUCTIONS = (ops.mean, ops.variance, ops.std, ops.minimum, ops.maximum)
 
@@ -452,7 +451,7 @@ def test_memo_equals_fresh_moments(seed, chain, prefix):
             want = chained.materialize()
             got = chained.quantized_moments()
             assert got == QuantizedMoments.of(decode_stored_blocks(want))
-            parallel_summary_statistics(out, None)
+            lazy(out).summary_statistics(executor=None)
         for out in streams:
             assert out._moments_memo is not None
             assert out._moments_memo[1] == QuantizedMoments.of(decode_stored_blocks(out))

@@ -92,9 +92,9 @@ def negated_after_last_multiply(chain) -> bool:
 def assert_matches_eager(c, chain, fused_outcome) -> None:
     """The fused outcome equals the eager chain's, unless a shift guard differs.
 
-    An eager add guards only the outliers it shifts (``|O| + |rho|``) and
-    names itself "scalar shift"; a fused shift guards every bin, after
-    consecutive shifts folded into one.  Everything else is the same exact
+    An eager add guards every bin after its own shift and names itself
+    "scalar shift"; a fused shift guards them after consecutive shifts
+    folded into one.  Everything else is the same exact
     integer arithmetic behind the same multiply guard, so when neither
     side tripped a shift guard the bytes or the error text must match.
     One exception in the bytes: eager negation flips every stored sign

@@ -1,4 +1,4 @@
-"""Chunked parallel reductions agree with their serial counterparts."""
+"""Chunked reductions (``lazy(c).<r>(executor=be)``) agree with the inline ones."""
 
 from __future__ import annotations
 
@@ -9,15 +9,7 @@ import pytest
 
 from repro import ops
 from repro.parallel.backends import available_backends, get_backend
-from repro.runtime import (
-    lazy,
-    parallel_maximum,
-    parallel_mean,
-    parallel_minimum,
-    parallel_std,
-    parallel_summary_statistics,
-    parallel_variance,
-)
+from repro.runtime import lazy
 
 WORKER_COUNTS = (1, 2, 5)
 
@@ -49,42 +41,44 @@ def plateau_stream(codec, plateau_field):
 class TestAgainstSerial:
     def test_mean_exact(self, stream, pools, n_workers):
         for be in pools[n_workers]:
-            assert parallel_mean(stream, be) == ops.mean(stream), be.name
+            assert lazy(stream).mean(executor=be) == ops.mean(stream), be.name
 
     def test_min_max_exact(self, plateau_stream, pools, n_workers):
         for be in pools[n_workers]:
-            assert parallel_minimum(plateau_stream, be) == ops.minimum(plateau_stream)
-            assert parallel_maximum(plateau_stream, be) == ops.maximum(plateau_stream)
+            chain = lazy(plateau_stream)
+            assert chain.minimum(executor=be) == ops.minimum(plateau_stream)
+            assert chain.maximum(executor=be) == ops.maximum(plateau_stream)
 
     def test_variance_std_to_rounding(self, stream, pools, n_workers):
         for be in pools[n_workers]:
-            assert parallel_variance(stream, be) == ops.variance(stream), be.name
-            assert parallel_std(stream, be) == ops.std(stream), be.name
+            assert lazy(stream).variance(executor=be) == ops.variance(stream), be.name
+            assert lazy(stream).std(executor=be) == ops.std(stream), be.name
 
     def test_summary_statistics(self, plateau_stream, pools, n_workers):
         serial = ops.summary_statistics(plateau_stream)
         for be in pools[n_workers]:
-            assert parallel_summary_statistics(plateau_stream, be) == serial, be.name
+            got = lazy(plateau_stream).summary_statistics(executor=be)
+            assert got == serial, be.name
 
 
 class TestExecutorHandling:
     def test_accepts_shared_executor(self, stream):
         with get_backend("threads", 3) as be:
-            assert parallel_mean(stream, be) == ops.mean(stream)
-            assert parallel_variance(stream, be) == ops.variance(stream)
+            assert lazy(stream).mean(executor=be) == ops.mean(stream)
+            assert lazy(stream).variance(executor=be) == ops.variance(stream)
 
     def test_none_sums_inline(self, stream):
-        assert parallel_mean(stream, None) == ops.mean(stream)
-        assert parallel_variance(stream, None) == ops.variance(stream)
+        assert lazy(stream).mean(executor=None) == ops.mean(stream)
+        assert lazy(stream).variance(executor=None) == ops.variance(stream)
 
     def test_rejects_non_executor(self, stream):
         for bad in ("4", 4):
             with pytest.raises(TypeError, match="executor"):
-                parallel_mean(stream, bad)
+                lazy(stream).mean(executor=bad)
 
     def test_ddof_guard(self, stream, pools):
         with pytest.raises(ValueError, match="ddof"):
-            parallel_variance(stream, pools[2][0], ddof=stream.n_elements)
+            lazy(stream).variance(ddof=stream.n_elements, executor=pools[2][0])
 
     def test_lazy_reductions_route_through_executor(self, stream, pools):
         chain = lazy(stream).negate().scalar_multiply(0.1)
@@ -105,7 +99,7 @@ class TestConstantOnlyStream:
     def test_all_constant_field(self, codec, pools):
         c = codec.compress(np.full(1024, 3.25, dtype=np.float32), 1e-3)
         for be in pools[2]:
-            assert parallel_mean(c, be) == ops.mean(c)
-            assert parallel_variance(c, be) == ops.variance(c)
-            assert parallel_minimum(c, be) == ops.minimum(c)
-            assert parallel_maximum(c, be) == ops.maximum(c)
+            assert lazy(c).mean(executor=be) == ops.mean(c)
+            assert lazy(c).variance(executor=be) == ops.variance(c)
+            assert lazy(c).minimum(executor=be) == ops.minimum(c)
+            assert lazy(c).maximum(executor=be) == ops.maximum(c)
